@@ -32,16 +32,18 @@ state, which makes serial and parallel executions of the same spec
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import inspect
 import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 from repro.cluster import ClusterSpec, P2PMPICluster
 from repro.sim.rng import stable_hash64
@@ -635,11 +637,51 @@ class Heartbeat:
         return cls._env_instance
 
 
+#: Serial sweeps running in this process; only the outermost freezes.
+#: Module-level because ``gc.freeze`` itself is process-wide.
+_serial_sweeps = 0
+
+
+@contextmanager
+def _frozen_heap() -> Iterator[None]:
+    """Freeze every object that predates the outermost serial sweep.
+
+    A finished cell leaves cyclic garbage behind (processes, event
+    callbacks and generator frames refer to each other), and CPython's
+    count-based collector runs too rarely to free one cell's cluster
+    before the next one is built.  :func:`_execute_cell` therefore
+    collects after every cell; with the older heap frozen, each of
+    those collections scans only the objects the sweep itself created.
+    """
+    global _serial_sweeps
+    if _serial_sweeps == 0:
+        gc.collect()
+        gc.freeze()
+    _serial_sweeps += 1
+    try:
+        yield
+    finally:
+        _serial_sweeps -= 1
+        if _serial_sweeps == 0:
+            gc.unfreeze()
+
+
+def _freeze_worker_heap() -> None:
+    """Pool initializer: the worker's per-cell collections then skip
+    the heap it started with (see :func:`_frozen_heap`)."""
+    gc.collect()
+    gc.freeze()
+
+
 def _execute_cell(spec: ExperimentSpec, cell: Cell) -> CellResult:
-    """Run one cell in the current process (also the pool entry point)."""
+    """Run one cell in the current process (also the pool entry point).
+
+    The cell's time includes the collection that frees its cluster.
+    """
     t0 = time.perf_counter()
-    ctx = CellContext(spec=spec, cell=cell)
-    value = dict(spec.runner(ctx))
+    # No local keeps the context, whose lazy cluster must die here too.
+    value = dict(spec.runner(CellContext(spec=spec, cell=cell)))
+    gc.collect()
     return CellResult(index=cell.index, key=cell.key,
                       params=cell.param_dict(), seed=cell.seed, value=value,
                       elapsed_s=time.perf_counter() - t0)
@@ -834,12 +876,13 @@ class SweepRunner:
     def _run_serial(self, todo: Sequence[Cell]) -> List[CellResult]:
         out: List[CellResult] = []
         try:
-            for cell in todo:
-                result = _execute_cell(self.spec, cell)
-                out.append(result)
-                self._checkpoint(result)
-                if self.progress is not None:
-                    self.progress(result)
+            with _frozen_heap():
+                for cell in todo:
+                    result = _execute_cell(self.spec, cell)
+                    out.append(result)
+                    self._checkpoint(result)
+                    if self.progress is not None:
+                        self.progress(result)
         finally:
             self._flush_checkpoint()
         return out
@@ -859,7 +902,8 @@ class SweepRunner:
     def _run_pool(self, todo: Sequence[Cell]) -> List[CellResult]:
         workers = min(self.jobs, len(todo))
         out: List[CellResult] = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_freeze_worker_heap) as pool:
             futures = [pool.submit(_execute_cell, self.spec, cell)
                        for cell in self.pool_order(todo)]
             try:

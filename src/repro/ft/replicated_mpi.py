@@ -161,22 +161,22 @@ class ReplicatedComm:
         stale duplicates (lower sequence) are consumed and dropped.
         """
         expected = self._delivered[(source, tag)]
-        inbox = self.world.network.inbox(self.host.name)
+        network, host, port = self.world.network, self.host.name, self._port()
         while True:
             def match(msg: Message, _src=source, _tag=tag, _exp=expected):
-                return (msg.port == self._port() and msg.kind == "RMPI"
+                return (msg.kind == "RMPI"
                         and msg.payload["source"] == _src
                         and msg.payload["tag"] == _tag
                         and msg.payload["seq"] <= _exp)
 
-            msg = yield inbox.get(match)
+            msg = yield network.receive(host, port, match=match)
             if msg.payload["seq"] == expected:
                 self._delivered[(source, tag)] = expected + 1
                 # Purge duplicates of this (and any earlier) logical
                 # message that are already queued: no future recv for
                 # this (source, tag) may ever run, so leaving them
                 # would leak them into the host inbox forever.
-                inbox.discard(match)
+                network.discard(host, port, match)
                 return msg.payload["data"]
             # stale duplicate: drop and keep waiting
 

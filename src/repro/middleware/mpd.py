@@ -618,6 +618,7 @@ class MPD:
                 else:
                     refusals.append(msg.src)
             if deadline in fired and recv not in fired:
+                recv.cancel()
                 break
         dead = sorted(pending)
         if dead:
@@ -718,6 +719,7 @@ class MPD:
                 else:
                     refused.append(msg.src)
             if start_deadline in fired and recv not in fired:
+                recv.cancel()
                 break
         if ack_pending or refused:
             for host_name in started:
@@ -768,6 +770,7 @@ class MPD:
                         payload
                     )
             if done_deadline in fired and recv not in fired:
+                recv.cancel()
                 break
         result.completions = completions
         timings.finished_at = sim.now

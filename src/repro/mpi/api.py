@@ -85,16 +85,14 @@ class Comm:
         """Blocking receive; returns ``(source, tag, data)``."""
 
         def match(msg: Message) -> bool:
-            if msg.port != self._port(self.rank) or msg.kind != "MPI":
-                return False
             if source != ANY_SOURCE and msg.payload["source"] != source:
                 return False
             if tag != ANY_TAG and msg.payload["tag"] != tag:
                 return False
             return True
 
-        inbox = self.world.network.inbox(self.host.name)
-        msg = yield inbox.get(match)
+        msg = yield self.world.network.receive(
+            self.host.name, self._port(self.rank), "MPI", match)
         return msg.payload["source"], msg.payload["tag"], msg.payload["data"]
 
     def sendrecv(self, dest: int, payload: Any, size_bytes: int,

@@ -61,6 +61,7 @@ class PingService:
         fired = yield self.network.sim.any_of([reply, deadline])
         if reply in fired:
             return (self.network.sim.now - start) * 1000.0
+        reply.cancel()
         return None
 
     # -- analytic probe ------------------------------------------------------------

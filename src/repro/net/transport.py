@@ -1,10 +1,11 @@
 """Message transport between simulated hosts.
 
-Every host that registers with the :class:`Network` gets a FIFO inbox
-(:class:`~repro.sim.resources.FilterStore` so receivers can match on
-port/tag).  ``send`` computes the delivery time from the latency model,
-the payload size and the bandwidth allocator, then schedules delivery
-into the destination inbox.  Failed (dead) hosts silently drop traffic,
+Every host that registers with the :class:`Network` gets an
+:class:`~repro.net.inbox.Inbox` with one FIFO per port, so a receive
+only ever looks at its own port's traffic.  ``send`` computes the
+delivery time from the latency model, the payload size and the
+bandwidth allocator, then schedules delivery into the destination
+inbox.  Failed (dead) hosts silently drop traffic,
 which is exactly what a crashed MPD does from the sender's viewpoint —
 the reservation protocol's timeouts are what detect it.
 """
@@ -13,13 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import count
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.net.bandwidth import BandwidthAllocator
+from repro.net.inbox import Inbox, MatchFn, Receive
 from repro.net.latency import LatencyModel
 from repro.net.topology import Host, Topology
 from repro.sim.core import Simulator
-from repro.sim.resources import FilterStore
 
 __all__ = ["Message", "Network"]
 
@@ -93,7 +94,7 @@ class Network:
         )
         self.bandwidth = BandwidthAllocator(topology)
         self.sw_overhead_s = sw_overhead_s
-        self._inboxes: Dict[str, FilterStore] = {}
+        self._inboxes: Dict[str, Inbox] = {}
         self._down: Dict[str, bool] = {}
         self._msg_ids = count(1)
         #: (host, port) -> host the port moved to (rank migration).
@@ -110,18 +111,18 @@ class Network:
         self.messages_filtered = 0
 
     # -- membership -----------------------------------------------------
-    def register(self, host_name: str) -> FilterStore:
+    def register(self, host_name: str) -> Inbox:
         """Create (or return) the inbox for ``host_name``."""
         if host_name not in self.topology.hosts:
             raise KeyError(f"unknown host {host_name!r}")
         inbox = self._inboxes.get(host_name)
         if inbox is None:
-            inbox = FilterStore(self.sim, name=f"inbox:{host_name}")
+            inbox = Inbox(self.sim)
             self._inboxes[host_name] = inbox
             self._down[host_name] = False
         return inbox
 
-    def inbox(self, host_name: str) -> FilterStore:
+    def inbox(self, host_name: str) -> Inbox:
         return self._inboxes[host_name]
 
     def set_down(self, host_name: str, down: bool = True) -> None:
@@ -170,10 +171,10 @@ class Network:
         src = self._inboxes.get(old_host)
         if src is None:
             return 0
-        moved = src.discard(lambda msg: msg.port == port)
+        moved = src.discard(port)
         dst = self.register(new_host)
         for msg in moved:
-            dst.put(msg)
+            dst.deliver(msg)
         return len(moved)
 
     # -- arrival filters -------------------------------------------------
@@ -259,7 +260,7 @@ class Network:
                 self.messages_forwarded += 1
             msg.delivered_at = self.sim.now
             self.messages_delivered += 1
-            box.put(msg)
+            box.deliver(msg)
 
         evt = self.sim.event(name=f"deliver:{msg.msg_id}")
         evt.callbacks.append(_deliver)
@@ -267,11 +268,18 @@ class Network:
         return msg
 
     # -- receiving helpers ---------------------------------------------------
-    def receive(self, host_name: str, port: str, kind: Optional[str] = None):
-        """Event yielding the next message for ``port`` (and ``kind``)."""
-        inbox = self._inboxes[host_name]
+    def receive(self, host_name: str, port: str, kind: Optional[str] = None,
+                match: Optional[MatchFn] = None) -> Receive:
+        """Event yielding the next message for ``port`` at ``host_name``
+        with ``kind`` (if given) that ``match`` accepts (if given).
 
-        def match(msg: Message) -> bool:
-            return msg.port == port and (kind is None or msg.kind == kind)
+        Call :meth:`Receive.cancel` on it when a deadline wins, so the
+        receive does not stay queued on the port.
+        """
+        return self._inboxes[host_name].receive(port, kind, match)
 
-        return inbox.get(match)
+    def discard(self, host_name: str, port: str,
+                predicate: Optional[MatchFn] = None) -> List[Message]:
+        """Remove and return ``port``'s queued messages at ``host_name``
+        that satisfy ``predicate`` (all of them without one)."""
+        return self._inboxes[host_name].discard(port, predicate)

@@ -9,7 +9,7 @@ latency (§4.2 step 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.net.latency import LatencyEstimate
 from repro.net.topology import Host
@@ -33,41 +33,65 @@ class CacheEntry:
 
 
 class PeerCache:
-    """Insertion-ordered peer cache with latency bookkeeping."""
+    """Insertion-ordered peer cache with latency bookkeeping.
+
+    Membership is one ordered name -> :class:`Host` map; a
+    :class:`CacheEntry` is only created when a peer is measured, marked
+    dead or handed out by a query.  Most MPDs never measure anyone, so
+    their boot-time merge of the supernode's host list only fills the
+    map and creates no entries at all.
+    """
 
     def __init__(self, owner: str) -> None:
         self.owner = owner
+        #: Every member, dead or alive, in insertion order.
+        self._hosts: Dict[str, Host] = {}
+        #: Entries created so far (a subset of ``_hosts``).
         self._entries: Dict[str, CacheEntry] = {}
+        #: Members marked dead and not yet dropped.
+        self._dead: Set[str] = set()
 
     def __len__(self) -> int:
-        return sum(1 for e in self._entries.values() if not e.dead)
+        return len(self._hosts) - len(self._dead)
 
     def __contains__(self, host_name: str) -> bool:
-        entry = self._entries.get(host_name)
-        return entry is not None and not entry.dead
+        return host_name in self._hosts and host_name not in self._dead
+
+    def _entry(self, name: str) -> CacheEntry:
+        entry = self._entries.get(name)
+        if entry is None:
+            entry = self._entries[name] = CacheEntry(host=self._hosts[name])
+        return entry
+
+    def _revive(self, name: str) -> None:
+        self._dead.discard(name)
+        self._entries[name].dead = False
 
     # -- updates ------------------------------------------------------------
     def add(self, host: Host) -> CacheEntry:
         """Insert or revive a peer; keeps existing measurements."""
-        entry = self._entries.get(host.name)
-        if entry is None:
-            entry = CacheEntry(host=host)
-            self._entries[host.name] = entry
-        entry.dead = False
-        return entry
+        name = host.name
+        if name not in self._hosts:
+            self._hosts[name] = host
+        elif name in self._dead:
+            self._revive(name)
+        return self._entry(name)
 
     def merge(self, hosts: Iterable[Host]) -> int:
         """Add many peers; returns the number of new entries."""
-        added = 0
+        members, dead = self._hosts, self._dead
+        before = len(members)
         for host in hosts:
-            if host.name not in self._entries:
-                added += 1
-            self.add(host)
-        return added
+            name = host.name
+            if name not in members:
+                members[name] = host
+            elif name in dead:
+                self._revive(name)
+        return len(members) - before
 
     def set_latency(self, host_name: str, estimate: LatencyEstimate,
                     now: float) -> None:
-        entry = self._entries[host_name]
+        entry = self._entry(host_name)
         entry.latency_ms = estimate.value_ms
         entry.n_samples += estimate.n_samples
         entry.last_update = now
@@ -81,7 +105,7 @@ class PeerCache:
         without it the newest sample replaces the old value (the
         published behaviour: the cache holds the last measurement).
         """
-        entry = self._entries[host_name]
+        entry = self._entry(host_name)
         if entry.latency_ms is None or ewma_alpha is None:
             entry.latency_ms = sample_ms
         else:
@@ -91,23 +115,29 @@ class PeerCache:
         return entry.latency_ms
 
     def mark_dead(self, host_name: str) -> None:
-        entry = self._entries.get(host_name)
-        if entry is not None:
-            entry.dead = True
+        if host_name in self._hosts:
+            self._entry(host_name).dead = True
+            self._dead.add(host_name)
 
     def drop_dead(self) -> List[str]:
         """Remove dead entries entirely; returns their names."""
-        dead = [name for name, e in self._entries.items() if e.dead]
+        if not self._dead:
+            return []
+        dead = [name for name in self._hosts if name in self._dead]
         for name in dead:
+            del self._hosts[name]
             del self._entries[name]
+        self._dead.clear()
         return dead
 
     # -- queries -----------------------------------------------------------
     def entry(self, host_name: str) -> CacheEntry:
-        return self._entries[host_name]
+        return self._entry(host_name)
 
     def live_entries(self) -> List[CacheEntry]:
-        return [e for e in self._entries.values() if not e.dead]
+        dead = self._dead
+        return [self._entry(name) for name in self._hosts
+                if name not in dead]
 
     def unmeasured(self) -> List[CacheEntry]:
         return [e for e in self.live_entries() if not e.measured]
@@ -118,8 +148,12 @@ class PeerCache:
         Ties (extremely unlikely with continuous latencies) break by
         host name for determinism.
         """
-        measured = [e for e in self.live_entries() if e.measured]
+        entries, dead = self._entries, self._dead
+        measured = [e for name, e in entries.items()
+                    if name not in dead and e.measured]
         return sorted(measured, key=lambda e: (e.latency_ms, e.host.name))
 
     def hosts(self) -> List[Host]:
-        return [e.host for e in self.live_entries()]
+        dead = self._dead
+        return [host for name, host in self._hosts.items()
+                if name not in dead]

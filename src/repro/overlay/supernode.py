@@ -59,6 +59,10 @@ class Supernode:
         self.host_name = host_name
         self.stale_after_s = stale_after_s
         self.records: Dict[str, PeerRecord] = {}
+        #: A lower bound on every record's ``last_seen``, set by each
+        #: :meth:`prune` scan; it stays one because simulated time only
+        #: grows, so later records and touches are newer.
+        self._oldest_seen = float("-inf")
         #: Diagnostics counters.
         self.registrations = 0
         self.alive_signals = 0
@@ -87,12 +91,16 @@ class Supernode:
 
     def prune(self, now: float) -> List[str]:
         """Drop stale records; returns the dropped names."""
+        if now - self._oldest_seen <= self.stale_after_s:
+            return []  # even the oldest record is still fresh
         dead = [
             name for name, rec in self.records.items()
             if rec.stale(now, self.stale_after_s)
         ]
         for name in dead:
             del self.records[name]
+        self._oldest_seen = min(
+            (rec.last_seen for rec in self.records.values()), default=now)
         return dead
 
     def peer_list(self, now: float) -> List[str]:

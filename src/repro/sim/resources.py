@@ -2,10 +2,10 @@
 
 These are the coordination primitives protocol code is written against:
 
-* :class:`Store` — unbounded/bounded FIFO mailbox (``put``/``get``);
-  every MPD, RS and MPI endpoint owns one as its inbox.
-* :class:`FilterStore` — ``get(predicate)`` for tag/source matching,
-  used by the MPI point-to-point layer.
+* :class:`Store` — unbounded/bounded FIFO mailbox (``put``/``get``).
+* :class:`FilterStore` — ``get(predicate)``: the oldest item a
+  predicate accepts.  (Host inboxes are per-port queues instead, see
+  :mod:`repro.net.inbox`.)
 * :class:`PriorityStore` — pops the smallest item first.
 * :class:`Resource` — counted resource with FIFO queueing, used for
   per-host core slots and per-link flow caps.
@@ -71,24 +71,6 @@ class Store:
 
     def get(self) -> StoreGet:
         return StoreGet(self)
-
-    def discard(self, predicate: Callable[[Any], bool]) -> List[Any]:
-        """Remove and return every queued item matching ``predicate``.
-
-        A synchronous maintenance primitive (no event involved): the
-        replicated-MPI layer uses it to purge stale duplicate messages
-        the moment a logical delivery supersedes them, and the migration
-        protocol uses it to move a port's queued traffic between host
-        inboxes.  Freed capacity admits queued putters.
-        """
-        removed: List[Any] = []
-        kept: deque = deque()
-        for item in self.items:
-            (removed if predicate(item) else kept).append(item)
-        if removed:
-            self.items = kept
-            self._match()
-        return removed
 
     # -- internals -----------------------------------------------------------
     def _do_put(self, event: StorePut) -> None:

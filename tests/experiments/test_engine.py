@@ -5,7 +5,9 @@ per-cell sweeps are bit-identical between serial and process-pool
 execution, stored results are replayable, and caching is exact.
 """
 
+import gc
 import json
+import weakref
 
 import pytest
 
@@ -39,6 +41,31 @@ def probe_cell(ctx: CellContext) -> dict:
     """Clusterless runner: echoes what the engine handed the cell."""
     return {"params": ctx.params, "seed": ctx.seed,
             "meta_x": ctx.meta.get("x")}
+
+
+def nested_cell(ctx: CellContext) -> dict:
+    """Runs a whole serial sweep inside one cell."""
+    inner = SweepRunner(make_spec("inner", {"b": (1, 2)}, probe_cell)).run()
+    return {"inner_cells": len(inner.cells),
+            "still_frozen": gc.get_freeze_count() > 0}
+
+
+class _Cycle:
+    pass
+
+
+#: Weak references to the cycles that cyclic_cell left in this process.
+_CYCLES: list = []
+
+
+def cyclic_cell(ctx: CellContext) -> dict:
+    """Leaves a reference cycle and a built cluster behind and reports
+    whether the previous cell's (in the same process) are still alive."""
+    previous = [ref() for ref in _CYCLES[-2:]]
+    node = _Cycle()
+    node.self = node
+    _CYCLES.extend([weakref.ref(node), weakref.ref(ctx.cluster)])
+    return {"previous_alive": any(obj is not None for obj in previous)}
 
 
 class TestSpecGrid:
@@ -461,6 +488,22 @@ class TestRunnerModes:
             result.value(a=99)
         with pytest.raises(KeyError):
             result.value(b=3)  # ambiguous
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_sweep_reclaims_each_cells_garbage(self, jobs):
+        _CYCLES.clear()
+        spec = make_spec("t", {"a": (1, 2, 3, 4)}, cyclic_cell)
+        result = SweepRunner(spec, jobs=jobs).run()
+        assert [c.value["previous_alive"] for c in result.cells] == \
+            [False] * 4
+        assert gc.get_freeze_count() == 0
+
+    def test_nested_serial_sweeps_unfreeze_only_at_the_outermost(self):
+        spec = make_spec("outer", {"a": (1, 2)}, nested_cell)
+        result = SweepRunner(spec).run()
+        assert [c.value for c in result.cells] == \
+            [{"inner_cells": 2, "still_frozen": True}] * 2
+        assert gc.get_freeze_count() == 0
 
     def test_summary_mentions_counts(self, tmp_path):
         spec = small_spec()

@@ -266,6 +266,6 @@ class TestDeduplication:
             for value in results[rank]:
                 assert value == [f"r{prev}m{i}" for i in range(3)]
         for host in {h.name for h in world._hosts.values()}:
-            leftover = [m for m in net.inbox(host).items
+            leftover = [m for m in net.inbox(host).queued()
                         if m.kind == "RMPI"]
             assert leftover == [], f"undrained duplicates on {host}"

@@ -1,5 +1,7 @@
 """Supernode registry protocol."""
 
+import random
+
 import pytest
 
 from repro.net.transport import Network
@@ -76,6 +78,27 @@ class TestStaleness:
 
         sim.run_until_complete(sim.process(later()))
         assert sn.peer_list(sim.now) == []
+
+    def test_prune_matches_a_full_scan_at_every_step(self):
+        """prune may skip its scan while no record can be stale; a
+        seeded timeline of touches and drops checks it never skips one
+        that is."""
+        rng = random.Random(4)
+        sn = Supernode(network=None, host_name="sn", stale_after_s=100.0)
+        now = 0.0
+        for _ in range(400):
+            now += rng.uniform(0.0, 30.0)
+            name = f"p{rng.randrange(12)}"
+            roll = rng.random()
+            if roll < 0.5:
+                sn._touch(name, now)
+            elif roll < 0.6:
+                sn.drop(name)
+            stale = [n for n, rec in sn.records.items()
+                     if rec.stale(now, sn.stale_after_s)]
+            kept = [n for n in sn.records if n not in stale]
+            assert sn.prune(now) == stale
+            assert list(sn.records) == kept
 
     def test_fresh_peer_kept(self, env):
         sim, topo, net, sn = env
