@@ -1,7 +1,8 @@
 """Perf trajectory of the collective-cost kernels (DESIGN.md §11).
 
-Times cell-throughput of the ``kernel="vector"`` path against the
-retained scalar ``kernel="reference"`` path on the two campaign hot
+Times cell-throughput of the vector kernels of
+:class:`~repro.mpi.costmodel.CollectiveCostModel` against the scalar
+per-edge loops of ``tests/mpi/reference_kernel.py`` on the two campaign hot
 paths — the fig4 crossover grid (p=128 layouts) and an
 applatency-style grid (up to the paper's 600 ranks) — plus per-kernel
 micro rates at p=600, and emits ``benchmarks/BENCH_kernels.json``.
@@ -28,7 +29,7 @@ from benchmarks.conftest import emit, fast_mode
 from repro.cluster import DEFAULT_COST_PARAMS
 from repro.grid5000.builder import build_topology
 from repro.mpi.costmodel import CollectiveCostModel
-import dataclasses
+from tests.mpi.reference_kernel import ReferenceCostModel
 
 OUT_PATH = Path(__file__).resolve().parent / "BENCH_kernels.json"
 
@@ -40,8 +41,8 @@ APPLAT_SIZES = (1024, 65536)
 def _model(kernel):
     """A cost model on a private topology (own layout/matrix memos), so
     each path pays for its own construction work."""
-    params = dataclasses.replace(DEFAULT_COST_PARAMS, kernel=kernel)
-    return CollectiveCostModel(build_topology(), params)
+    cls = ReferenceCostModel if kernel == "reference" else CollectiveCostModel
+    return cls(build_topology(), DEFAULT_COST_PARAMS)
 
 
 def _plans(topo, grid):

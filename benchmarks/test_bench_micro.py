@@ -13,6 +13,7 @@ from repro.grid5000.builder import build_topology
 from repro.middleware.jobs import JobRequest
 from repro.mpi.costmodel import CollectiveCostModel, CostParams
 from repro.sim import Simulator, Store
+from tests.mpi.reference_kernel import ReferenceCostModel
 
 
 def test_bench_event_loop_throughput(benchmark):
@@ -104,7 +105,8 @@ def test_bench_collective_kernels(benchmark, p, kernel):
     recursive-doubling allreduce, gather, ring halo) priced on one
     layout, both kernel paths, at p in {64, 128, 600}."""
     topology = build_topology()
-    model = CollectiveCostModel(topology, CostParams(kernel=kernel))
+    cls = ReferenceCostModel if kernel == "reference" else CollectiveCostModel
+    model = cls(topology, CostParams())
     layout = model.layout(_grid_hosts(topology, p))
 
     def run():

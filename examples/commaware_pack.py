@@ -11,7 +11,7 @@ to 0.06 Gb/s the moment they touch the bordeaux backbone.
 
 Run:  python examples/commaware_pack.py [--fast]
 
-(Equivalent CLI: ``p2pmpirun --experiment commaware --jobs 4``.)
+(Equivalent CLI: ``p2pmpirun run commaware --jobs 4``.)
 """
 
 import sys

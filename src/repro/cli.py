@@ -14,9 +14,6 @@ and drives the experiment campaigns through verbs::
     p2pmpirun merge host1/*.partial host2/*.partial --out all
     p2pmpirun aggregate all
 
-(the pre-verb ``p2pmpirun --experiment X`` spelling still works and is
-rewritten to ``p2pmpirun run X`` with a deprecation note).
-
 Sweeps run on the experiment engine: ``--jobs N`` fans cells out over
 worker processes (``--jobs 0`` auto-sizes from the CPU count),
 ``--out DIR`` persists results to a
@@ -60,13 +57,6 @@ __all__ = ["main", "build_parser", "build_run_parser",
 
 PROGRAMS = ("hostname", "ep", "is", "cg")
 
-#: Experiments whose sweeps partition with ``--shard`` (everything
-#: engine-backed; table1 prints a static table and the ablation
-#: drivers are a handful of cells each).  Kept as a module constant
-#: for compatibility; the registry manifest is the source of truth.
-SHARDABLE_EXPERIMENTS = registry.shardable_names()
-
-
 def make_app(name: str, nas_class: str = "B"):
     """Application model for a program name (``None`` for hostname)."""
     from repro.apps import (CGLikeBenchmark, EPBenchmark, HostnameApp,
@@ -95,13 +85,9 @@ def _shard_arg(text: str) -> Tuple[int, int]:
 # ----------------------------------------------------------------------
 # parsers
 # ----------------------------------------------------------------------
-def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
-    """Sweep-shape flags: what grid a campaign spans.
-
-    Shared by the legacy parser, ``run`` and ``orchestrate`` — the
-    orchestrator forwards exactly these to its worker processes, so
-    the three surfaces must stay flag-compatible.
-    """
+def _add_common_flags(parser: argparse.ArgumentParser) -> None:
+    """Flags a single job and a sweep both read: strategy, NAS class
+    and master seed."""
     parser.add_argument("-a", "--alloc", default="spread",
                         help="allocation strategy: spread | concentrate | "
                              "block | bandwidth_spread | "
@@ -109,6 +95,16 @@ def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--class", dest="nas_class", default="B",
                         help="NAS class for ep/is/cg (default B)")
     parser.add_argument("--seed", type=int, default=0)
+
+
+def _add_shape_flags(parser: argparse.ArgumentParser) -> None:
+    """Sweep-shape flags: what grid a campaign spans.
+
+    Shared by ``run`` and ``orchestrate`` — the orchestrator forwards
+    exactly these to its worker processes, so the two surfaces must
+    stay flag-compatible.
+    """
+    _add_common_flags(parser)
     parser.add_argument("--cluster", default="grid5000",
                         choices=("grid5000", "small"),
                         help="testbed for coallocation/commaware sweeps "
@@ -183,7 +179,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The job-run (and legacy ``--experiment``) parser."""
+    """The job-run parser (``p2pmpirun -n N ... prog``)."""
     parser = argparse.ArgumentParser(
         prog="p2pmpirun",
         description="Run a job on the simulated P2P-MPI Grid'5000 testbed.",
@@ -205,11 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--group", type=int, default=None,
                         help="collective-group block unit when -a "
                              "topo_block (default: derived from n)")
-    parser.add_argument("--experiment", choices=registry.names(),
-                        help="deprecated spelling of 'p2pmpirun run "
-                             "EXPERIMENT' (kept for compatibility)")
-    _add_shape_flags(parser)
-    _add_engine_flags(parser)
+    _add_common_flags(parser)
     parser.add_argument("prog", nargs="?", default="hostname",
                         choices=PROGRAMS, help="program to execute")
     return parser
@@ -218,16 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
 def build_run_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="p2pmpirun run",
-        description="Run one experiment campaign: regenerate a paper "
-                    "figure/table, the ablation studies, the combined "
-                    "§5.1 sweep ('coallocation'), the communication-"
-                    "aware scenario pack ('commaware'), the sustained-"
-                    "load availability campaign ('churnload'), the "
-                    "EP/IS latency-ratio execution campaign "
-                    "('applatency'), the topology-family ranking "
-                    "campaign ('topozoo', e.g. 'run topozoo --family "
-                    "scale_free --sites 200'), or the whole campaign "
-                    "('all').")
+        description="Run one experiment campaign and print its report.")
     parser.add_argument("experiment", choices=registry.names(),
                         help="campaign to run")
     _add_shape_flags(parser)
@@ -356,7 +339,7 @@ def _run_single(args: argparse.Namespace) -> int:
 
 
 # ----------------------------------------------------------------------
-# experiment execution (shared by `run` and the legacy spelling)
+# run verb
 # ----------------------------------------------------------------------
 def _store(args: argparse.Namespace):
     from repro.experiments.engine import ResultStore
@@ -396,18 +379,15 @@ def _run_profiled(args: argparse.Namespace) -> int:
     return rc
 
 
-def _finish(parser: argparse.ArgumentParser,
-            args: argparse.Namespace) -> int:
-    """Validations + dispatch shared by ``run`` and the legacy form."""
+def _run_run(argv: List[str]) -> int:
     from repro.experiments.engine import resolve_jobs
 
+    parser = build_run_parser()
+    args = parser.parse_args(argv)
     if args.jobs < 0:
         parser.error("--jobs must be >= 0 (0 = auto-size from CPU count)")
     args.jobs = resolve_jobs(args.jobs)
     if args.shard:
-        if args.experiment is None:
-            parser.error("--shard only applies to experiment sweeps "
-                         "('p2pmpirun run EXPERIMENT --shard K/N')")
         if not registry.is_shardable(args.experiment):
             parser.error(
                 f"experiment {args.experiment} does not shard (shardable: "
@@ -420,21 +400,11 @@ def _finish(parser: argparse.ArgumentParser,
                          "would invalidate cells other shards checkpointed "
                          "into the same store")
     if args.profile:
-        if args.experiment is None:
-            parser.error("--profile only applies to experiment sweeps")
         if args.experiment == "table1":
             parser.error("--profile: table1 prints a static table, "
                          "there is no sweep to profile")
-    if args.experiment:
-        if args.profile:
-            return _run_profiled(args)
-        return _run_experiment(args)
-    return _run_single(args)
-
-
-def _run_run(argv: List[str]) -> int:
-    parser = build_run_parser()
-    return _finish(parser, parser.parse_args(argv))
+        return _run_profiled(args)
+    return _run_experiment(args)
 
 
 # ----------------------------------------------------------------------
@@ -530,32 +500,10 @@ def _run_aggregate(argv: List[str]) -> int:
     return 0
 
 
-#: Verbs dispatched before the legacy parser (``p2pmpirun run ...``,
+#: Verbs dispatched before the job parser (``p2pmpirun run ...``,
 #: ``p2pmpirun orchestrate ...``, ``p2pmpirun merge ...``, ...).
 TOOL_VERBS = {"run": _run_run, "orchestrate": _run_orchestrate,
               "merge": _run_merge, "aggregate": _run_aggregate}
-
-
-def _rewrite_legacy_experiment(argv: List[str]) -> List[str]:
-    """``--experiment X`` -> ``run X`` (the pre-verb CLI, deprecated).
-
-    Only the exact flag spellings are rewritten; a trailing
-    ``--experiment`` with no value falls through to the legacy parser,
-    whose own "expected one argument" error is the right one.
-    """
-    for i, arg in enumerate(argv):
-        if arg == "--experiment":
-            if i + 1 >= len(argv):
-                break
-            name, rest = argv[i + 1], argv[:i] + argv[i + 2:]
-        elif arg.startswith("--experiment="):
-            name, rest = arg.split("=", 1)[1], argv[:i] + argv[i + 1:]
-        else:
-            continue
-        print(f"note: 'p2pmpirun --experiment {name}' is deprecated; "
-              f"use 'p2pmpirun run {name}'", file=sys.stderr)
-        return ["run", name] + rest
-    return argv
 
 
 def _dispatch(verb: str, argv: List[str]) -> int:
@@ -573,11 +521,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv and argv[0] in TOOL_VERBS:
         return _dispatch(argv[0], argv[1:])
-    argv = _rewrite_legacy_experiment(argv)
-    if argv and argv[0] in TOOL_VERBS:
-        return _dispatch(argv[0], argv[1:])
-    parser = build_parser()
-    return _finish(parser, parser.parse_args(argv))
+    return _run_single(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,7 +17,6 @@ Example
 from __future__ import annotations
 
 import dataclasses
-import sys
 from dataclasses import dataclass
 from typing import (Callable, Dict, Generator, List, Mapping, Optional,
                     Sequence, Tuple)
@@ -42,7 +41,7 @@ __all__ = ["P2PMPICluster", "build_grid5000_cluster", "build_latratio_cluster",
            "build_small_world_cluster", "build_fat_sites_cluster",
            "ClusterSpec", "FamilyParam", "TopologyFamily",
            "register_family", "get_family", "family_names",
-           "register_cluster_kind", "cluster_kinds", "DEFAULT_COST_PARAMS"]
+           "DEFAULT_COST_PARAMS"]
 
 #: Communication cost parameters calibrated for the 2008 Java/MPJ
 #: runtime (see DESIGN.md §5 and repro.mpi.costmodel).  WAN backbones
@@ -411,8 +410,7 @@ class FamilyParam:
 class TopologyFamily:
     """A declarative, seedable cluster recipe (DESIGN.md §14).
 
-    Replaces the ad-hoc ``register_cluster_kind(name, builder)`` pair:
-    the family carries its parameter schema, so a
+    The family carries its parameter schema, so a
     :class:`ClusterSpec` naming an unknown parameter fails at
     *spec-construction* time — in the driver process, with the family's
     accepted names in the message — instead of as a ``TypeError`` deep
@@ -424,26 +422,21 @@ class TopologyFamily:
     the simulation master seed, while topology-shaping randomness goes
     through the family's own ``topo_seed``-style parameters so a
     campaign can pin one generated topology across many cells.
-
-    ``params=None`` marks a legacy registration through the deprecated
-    shim: the schema is unknown, so validation is skipped.
     """
 
     name: str
     builder: Callable[..., P2PMPICluster]
-    params: Optional[Tuple[FamilyParam, ...]] = ()
+    params: Tuple[FamilyParam, ...] = ()
     doc: str = ""
 
     def param_names(self) -> Tuple[str, ...]:
-        return tuple(p.name for p in (self.params or ()))
+        return tuple(p.name for p in self.params)
 
     def defaults(self) -> Dict[str, object]:
-        return {p.name: p.default for p in (self.params or ())}
+        return {p.name: p.default for p in self.params}
 
     def validate(self, params: Mapping[str, object]) -> None:
         """Reject parameters the family does not declare."""
-        if self.params is None:  # legacy shim registration
-            return
         unknown = sorted(set(params) - set(self.param_names()))
         if unknown:
             accepted = sorted(self.param_names())
@@ -527,44 +520,6 @@ register_family(TopologyFamily(
             FamilyParam("failed", (), "router/site names to exclude"),
             ) + _gen_common(1),
     doc="hundreds of sites dual-homed on a router core (+ failures)"))
-
-
-# -- deprecated shims --------------------------------------------------------
-
-_DEPRECATION_NOTED: set = set()
-
-
-def _note_deprecated(old: str, new: str) -> None:
-    """One stderr note per deprecated entry point per process."""
-    if old in _DEPRECATION_NOTED:
-        return
-    _DEPRECATION_NOTED.add(old)
-    print(f"repro.cluster: {old} is deprecated; use {new}",
-          file=sys.stderr)
-
-
-def register_cluster_kind(name: str,
-                          builder: Callable[..., P2PMPICluster]) -> None:
-    """Register a named recipe without a parameter schema.
-
-    .. deprecated::
-        Use :func:`register_family` with a :class:`TopologyFamily`
-        (declared parameters get validated at spec-construction time;
-        this shim registers an unvalidated legacy family).
-    """
-    _note_deprecated("register_cluster_kind()",
-                     "register_family(TopologyFamily(...))")
-    register_family(TopologyFamily(name=name, builder=builder, params=None))
-
-
-def cluster_kinds() -> List[str]:
-    """Registered family names.
-
-    .. deprecated::
-        Use :func:`family_names`.
-    """
-    _note_deprecated("cluster_kinds()", "family_names()")
-    return family_names()
 
 
 @dataclass(frozen=True)

@@ -166,8 +166,8 @@ def run_applatency_campaign(
     force: bool = False,
     shard: Optional[Tuple[int, int]] = None,
 ) -> AppLatencyCampaign:
-    """Run both panels through the engine (CLI ``--experiment
-    applatency``); ``shard`` slices every panel the same way."""
+    """Run both panels through the engine (CLI ``run applatency``);
+    ``shard`` slices every panel the same way."""
     ratios = tuple(float(r) for r in ratios)
     strategies = tuple(strategies)
     ns = tuple(int(n) for n in ns)

@@ -1,8 +1,7 @@
 """Shared CLI-side helpers for the registered experiment drivers.
 
-The subcommand redesign moved each ``--experiment`` dispatch arm out of
-``repro.cli`` into its owning driver module (see
-:mod:`repro.experiments.registry`); the idioms those arms shared —
+Each campaign's CLI entry point lives in its owning driver module (see
+:mod:`repro.experiments.registry`); the idioms those entry points share —
 comma-separated grid flags, the small-testbed overrides, the one
 ``[engine]`` summary line — live here so the drivers do not import the
 CLI (which would be a cycle) or each other.

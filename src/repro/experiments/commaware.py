@@ -18,7 +18,7 @@ strategies:
 
 Every sweep is an ordinary engine spec — parallelisable with ``--jobs``
 and cacheable with ``--out`` — and the whole pack is wired into the CLI
-as ``p2pmpirun --experiment commaware``.
+as ``p2pmpirun run commaware``.
 """
 
 from __future__ import annotations

@@ -1,9 +1,8 @@
 """The experiment registry: one lazy catalogue of every campaign.
 
-Before this module the CLI hand-maintained eight import blocks and a
-``--experiment`` dispatch ladder, and ``p2pmpirun --help`` paid for
-importing every driver (and numpy/networkx behind them).  Now the
-mapping is split in two layers:
+The CLI never imports a driver it does not run, so ``p2pmpirun
+--help`` stays cheap (no numpy/networkx).  The mapping is split in two
+layers:
 
 * :data:`MANIFEST` — a static name -> module table.  Importing this
   module costs nothing (stdlib only), so parser construction and
@@ -46,8 +45,7 @@ class ExperimentRef:
     shardable: bool = True
 
 
-#: Every experiment name the CLI accepts, in the legacy ``--experiment``
-#: choices order (golden tests pin ``--help`` output to it).
+#: Every experiment name the CLI accepts, in ``run``'s choices order.
 MANIFEST: Dict[str, ExperimentRef] = {
     "fig2": ExperimentRef("repro.experiments.coallocation"),
     "fig3": ExperimentRef("repro.experiments.coallocation"),
@@ -78,8 +76,8 @@ class Experiment:
         The CLI name; must appear in :data:`MANIFEST`.
     cli_run:
         ``(args, store) -> None`` — run the campaign and print its
-        report, exactly the behaviour of the legacy ``--experiment``
-        dispatch arm.  ``store`` is ``None`` without ``--out``.
+        report (``p2pmpirun run NAME``).  ``store`` is ``None`` without
+        ``--out``.
     specs:
         ``(args) -> [ExperimentSpec, ...]`` — the campaign's sweep
         grids for the given CLI flags, *without running anything*.
@@ -180,8 +178,7 @@ def _all_specs(args: Any) -> List[Any]:
 
 
 def _all_cli_run(args: Any, store: Optional[Any]) -> None:
-    # Matches the legacy `--experiment all` output byte for byte:
-    # a `== name ==` banner per part, blank line between parts.
+    # A `== name ==` banner per part, blank line between parts.
     for i, part in enumerate(_ALL_PARTS):
         print(f"== {part} ==")
         get(part).cli_run(args, store)

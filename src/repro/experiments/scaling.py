@@ -143,7 +143,7 @@ def _cli_strategy(args) -> str:
     if strategy == "block":
         import sys
 
-        print("warning: --experiment scaling does not sweep the block "
+        print("warning: run scaling does not sweep the block "
               "strategy; using spread", file=sys.stderr)
         strategy = "spread"
     return strategy

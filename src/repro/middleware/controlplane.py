@@ -1,13 +1,12 @@
 """Asyncio multi-tenant control plane on a virtual-time event loop.
 
 The DES middleware (:mod:`repro.middleware.mpd`) serialises job
-submissions: one generator runs at a time, so the gatekeeper's legacy
-``can_accept`` + ``hold`` pair never actually raced.  The operating
-regime the Grid'5000 platform reports describe — many independent
-users submitting concurrently against shared hosts — needs genuinely
-interleaved admission, which is exactly what exposes the check-then-act
-bug and what :meth:`~repro.middleware.gatekeeper.Gatekeeper.try_admit`
-fixes.
+submissions: one generator runs at a time, so admission never
+interleaves there.  The operating regime the Grid'5000 platform
+reports describe — many independent users submitting concurrently
+against shared hosts — needs genuinely interleaved admission, which
+is what the atomic
+:meth:`~repro.middleware.gatekeeper.Gatekeeper.try_admit` is for.
 
 This module provides that regime:
 

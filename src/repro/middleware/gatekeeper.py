@@ -7,14 +7,10 @@ owner's ``J`` limit, and validates process counts against ``P`` when an
 application actually starts.
 
 Admission is **atomic**: :meth:`Gatekeeper.try_admit` checks the owner
-policy and pins the ``J`` slot in one indivisible step.  The legacy
-:meth:`can_accept` + :meth:`hold` pair is a check-then-act sequence
-that is only safe when nothing can interleave between the check and
-the act; with concurrent submitters (the asyncio control plane of
+policy and pins the ``J`` slot in one indivisible step, so concurrent
+submitters (the asyncio control plane of
 :mod:`repro.middleware.controlplane`, or any interleaved RS traffic)
-two callers could both pass ``can_accept`` and then both ``hold``,
-exceeding ``J``.  The pair survives as deprecated shims for tests and
-force-occupancy helpers only — admission paths must use ``try_admit``.
+can never both pass the check and together exceed ``J``.
 """
 
 from __future__ import annotations
@@ -41,9 +37,10 @@ class Gatekeeper:
     held: Set[str] = field(default_factory=set)
     #: job_id -> local process count for running applications.
     running: Dict[str, int] = field(default_factory=dict)
-    #: Total busy process slots (exported as the "load" the latency
-    #: probes observe).
+    #: Admissions :meth:`try_admit` refused (denied submitter or ``J``
+    #: reached).
     refused: int = 0
+    #: Reservation keys :meth:`try_admit` newly pinned to a ``J`` slot.
     admitted: int = 0
 
     # -- queries --------------------------------------------------------------
@@ -54,29 +51,18 @@ class Gatekeeper:
 
     @property
     def busy_processes(self) -> int:
+        """Total busy process slots (exported as the "load" the latency
+        probes observe)."""
         return sum(self.running.values())
-
-    def can_accept(self, submitter: str) -> bool:
-        """§4.2 step 4: J not exceeded and submitter not denied.
-
-        .. deprecated::
-            Read-only policy probe.  Pairing it with :meth:`hold` is a
-            check-then-act race under any interleaving; admission paths
-            must call :meth:`try_admit` instead.
-        """
-        if not self.prefs.allows(submitter):
-            return False
-        return self.applications_in_flight < self.prefs.j_limit
 
     # -- reservation lifecycle ---------------------------------------------------
     def try_admit(self, key: str, submitter: str) -> bool:
         """Atomically admit reservation ``key`` for ``submitter``.
 
-        The §4.2 step-4 decision as one indivisible operation: the
-        owner policy (denied list, ``J`` limit) is re-validated at the
-        instant the slot is pinned, so interleaved admissions can never
-        exceed ``J`` — the invariant the deprecated ``can_accept`` +
-        ``hold`` pair could not keep.
+        The §4.2 step-4 decision (``J`` not exceeded, submitter not
+        denied) as one indivisible operation: the owner policy is
+        validated at the instant the slot is pinned, so interleaved
+        admissions can never exceed ``J``.
 
         Re-admitting a key that is already held is idempotent: the slot
         stays pinned once, no counter moves, and ``True`` is returned
@@ -98,29 +84,6 @@ class Gatekeeper:
         self.held.add(key)
         self.admitted += 1
         return True
-
-    def hold(self, key: str) -> bool:
-        """Pin a ``J`` slot for ``key`` unconditionally (no policy check).
-
-        .. deprecated::
-            The "act" half of the racy check-then-act pair; admission
-            paths must use :meth:`try_admit`.  Kept for tests and
-            force-occupancy helpers that deliberately bypass policy.
-
-        Re-holding an already-held key is idempotent — the ``held`` set
-        always deduplicated, but the ``admitted`` counter used to be
-        double-bumped, skewing refusal-rate metrics.  Returns whether
-        the key was new.
-        """
-        if key in self.held:
-            return False
-        self.held.add(key)
-        self.admitted += 1
-        return True
-
-    def refuse(self) -> None:
-        """Count a refusal decided outside :meth:`try_admit` (shim path)."""
-        self.refused += 1
 
     def release_hold(self, key: str) -> bool:
         """Drop a held reservation (cancel/expiry); True if it existed."""

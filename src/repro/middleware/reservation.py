@@ -77,8 +77,7 @@ class ReservationService:
         :meth:`~repro.middleware.gatekeeper.Gatekeeper.try_admit` — the
         policy check and the ``J``-slot pin are one indivisible step,
         so interleaved RESERVE traffic (concurrent submitters racing
-        for the same host) can never overshoot the owner's limit the
-        way the legacy ``can_accept`` + ``hold`` pair could.
+        for the same host) can never overshoot the owner's limit.
         """
         self._expire()
         payload = msg.payload

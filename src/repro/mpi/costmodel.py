@@ -26,23 +26,19 @@ path divided by flows, no backbone pooling).
 per-message serialization overheads of the 2008 runtime; they are the
 main calibration knobs for absolute IS/EP times (see DESIGN.md §5).
 
-Kernel paths (DESIGN.md §11)
-----------------------------
-Every collective has two implementations selected by
-``CostParams.kernel``:
-
-* ``"vector"`` (default): :meth:`CollectiveCostModel.pairwise_times`
-  builds the full rank x rank p2p cost matrix once per message size
-  (memoized on the layout, keyed by the mutable contention state) and
-  each round's max is one fancy-indexed reduction over precomputed,
-  LRU-cached edge-index arrays.  The alltoall(v) rank loop collapses
-  to one evaluation per distinct ``(site, colocated)`` combination.
-* ``"reference"``: the original scalar per-edge loops, retained
-  verbatim as the equivalence oracle and bench baseline.
-
-Both paths share the same scalar arithmetic bodies and summation order
-(per-round max, then left-to-right sum), so they agree bit for bit —
-pinned by ``tests/mpi/test_kernel_equivalence.py``.
+Vector kernels (DESIGN.md §11)
+------------------------------
+:meth:`CollectiveCostModel.pairwise_times` builds the full rank x rank
+p2p cost matrix once per message size (memoized on the layout, keyed
+by the mutable contention state) and each round's max is one
+fancy-indexed reduction over precomputed, LRU-cached edge-index
+arrays.  The alltoall(v) rank loop collapses to one evaluation per
+distinct ``(site, colocated)`` combination.  The scalar per-edge
+loops these replace live on as the test suite's equivalence oracle
+(``tests/mpi/reference_kernel.py``); both share the scalar arithmetic
+bodies and summation order (per-round max, then left-to-right sum), so
+they agree bit for bit — pinned by
+``tests/mpi/test_kernel_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -58,15 +54,10 @@ from repro.net.contention import WAN_CONTENTION_FACTOR
 from repro.net.topology import Host, Topology
 
 __all__ = ["CostParams", "GroupLayout", "CollectiveCostModel",
-           "KernelStats", "WAN_CONTENTION_MODES", "KERNEL_MODES"]
+           "KernelStats", "WAN_CONTENTION_MODES"]
 
 #: Valid ``CostParams.wan_contention`` settings.
 WAN_CONTENTION_MODES = ("plan", "fixed", "none")
-
-#: Valid ``CostParams.kernel`` settings: ``"vector"`` prices rounds from
-#: cached rank x rank cost matrices, ``"reference"`` replays the scalar
-#: per-edge loops.  Bit-exact against each other by construction.
-KERNEL_MODES = ("vector", "reference")
 
 #: Layout templates memoized per topology (keyed by the ordered host
 #: name tuple — rank order matters to every collective).
@@ -107,11 +98,6 @@ class CostParams:
         :data:`~repro.net.contention.WAN_CONTENTION_FACTOR`, and
         ``"none"`` restores the pre-calibration behaviour (the
         NIC-clamped path rate divided by flows in alltoall only).
-    kernel:
-        Evaluation path: ``"vector"`` (default, matrix kernels) or
-        ``"reference"`` (scalar per-edge loops).  Both produce
-        bit-identical times; the switch exists for the equivalence
-        suite and the perf-trajectory benchmarks.
     """
 
     sw_overhead_s: float = 20e-6
@@ -122,17 +108,12 @@ class CostParams:
     wan_extra_s: float = 0.0
     nic_share: bool = True
     wan_contention: str = "plan"
-    kernel: str = "vector"
 
     def __post_init__(self) -> None:
         if self.wan_contention not in WAN_CONTENTION_MODES:
             raise ValueError(
                 f"wan_contention must be one of {WAN_CONTENTION_MODES}, "
                 f"got {self.wan_contention!r}")
-        if self.kernel not in KERNEL_MODES:
-            raise ValueError(
-                f"kernel must be one of {KERNEL_MODES}, "
-                f"got {self.kernel!r}")
 
     def fixed_cost_s(self, nbytes: int) -> float:
         """Per-message runtime cost for a message of ``nbytes``."""
@@ -541,20 +522,8 @@ class CollectiveCostModel:
         return cost
 
     # -- tree / dissemination collectives -------------------------------------------
-    def _round_edges_barrier(self, p: int) -> List[List[Tuple[int, int]]]:
-        return _barrier_rounds(p)
-
-    def _binomial_rounds(self, p: int, root: int) -> List[List[Tuple[int, int]]]:
-        return _binomial_round_edges(p, root)
-
     def barrier_time(self, layout: GroupLayout) -> float:
         """Dissemination barrier: sum over rounds of the slowest edge."""
-        if self.params.kernel == "reference":
-            total = 0.0
-            for edges in _barrier_rounds(layout.p):
-                total += max(self.p2p_time(layout, i, j, 32)
-                             for i, j in edges)
-            return total
         times = self.pairwise_times(layout, 32)
         total = 0.0
         for src, dst in _barrier_edge_arrays(layout.p):
@@ -565,12 +534,6 @@ class CollectiveCostModel:
     def bcast_time(self, layout: GroupLayout, nbytes: int,
                    root: int = 0) -> float:
         """Binomial broadcast: per-round max edge, summed."""
-        if self.params.kernel == "reference":
-            total = 0.0
-            for edges in _binomial_round_edges(layout.p, root):
-                total += max(self.p2p_time(layout, i, j, nbytes)
-                             for i, j in edges)
-            return total
         times = self.pairwise_times(layout, nbytes)
         total = 0.0
         for src, dst in _binomial_edge_arrays(layout.p, root):
@@ -593,28 +556,6 @@ class CollectiveCostModel:
         p = layout.p
         if p == 1:
             return self.params.sw_overhead_s
-        if self.params.kernel == "reference":
-            pof2 = 1 << (p.bit_length() - 1)
-            rem = p - pof2
-            total = 0.0
-            if rem:
-                fold = max(
-                    self.p2p_time(layout, 2 * i + 1, 2 * i, nbytes)
-                    for i in range(rem)
-                )
-                total += 2 * fold  # fold in + fold out
-
-            def real(vrank: int) -> int:
-                return 2 * vrank if vrank < rem else vrank + rem
-
-            mask = 1
-            while mask < pof2:
-                total += max(
-                    self.p2p_time(layout, real(v), real(v ^ mask), nbytes)
-                    for v in range(pof2)
-                )
-                mask <<= 1
-            return total
         times = self.pairwise_times(layout, nbytes)
         fold_pair, rounds = _allreduce_edge_arrays(p)
         total = 0.0
@@ -633,16 +574,10 @@ class CollectiveCostModel:
         pa = self.params
         if layout.p == 1:
             return pa.sw_overhead_s
-        if pa.kernel == "reference":
-            lat = max(
-                self.p2p_time(layout, i, root, 0)
-                for i in range(layout.p) if i != root
-            )
-        else:
-            times = self.pairwise_times(layout, 0)
-            sel = np.arange(layout.p) != root
-            lat = float(times[sel, root].max())
-            self.stats.p2p_edges_vectorized += layout.p - 1
+        times = self.pairwise_times(layout, 0)
+        sel = np.arange(layout.p) != root
+        lat = float(times[sel, root].max())
+        self.stats.p2p_edges_vectorized += layout.p - 1
         per_msg = (pa.sw_overhead_s + pa.fixed_cost_s(nbytes)
                    + nbytes * pa.ser_per_byte_s)
         return lat + (layout.p - 1) * per_msg + self._serial_bytes_time(
@@ -652,10 +587,6 @@ class CollectiveCostModel:
     def ring_exchange_time(self, layout: GroupLayout, nbytes: int) -> float:
         """Slowest neighbouring edge of the rank ring: one halo-exchange
         step of a 1-D decomposition (CG's transpose stand-in)."""
-        if self.params.kernel == "reference":
-            p = layout.p
-            return max(self.p2p_time(layout, i, (i + 1) % p, nbytes)
-                       for i in range(p))
         times = self.pairwise_times(layout, nbytes)
         src, dst = _ring_edge_arrays(layout.p)
         self.stats.p2p_edges_vectorized += layout.p
@@ -697,8 +628,8 @@ class CollectiveCostModel:
     def _alltoallv_rank_total(self, layout: GroupLayout, si: int,
                               colocated: int, unit: np.ndarray,
                               wire: float) -> float:
-        """One rank's alltoall(v) total: the loop body both kernel
-        paths share (a rank enters only through ``si``/``colocated``)."""
+        """One rank's alltoall(v) total (a rank enters only through
+        ``si``/``colocated``)."""
         counts = layout.site_counts.astype(float).copy()
         counts[si] -= 1  # exclude self
         total = float(np.dot(counts, unit[si])) + wire
@@ -719,13 +650,6 @@ class CollectiveCostModel:
         unit = self._alltoallv_unit(layout, bytes_per_pair)
         # Bandwidth term is added per rank (depends on colocation).
         wire = self._alltoallv_wire_per_rank(layout, bytes_per_pair)
-        if pa.kernel == "reference":
-            per_rank = np.zeros(p)
-            for i in range(p):
-                per_rank[i] = self._alltoallv_rank_total(
-                    layout, layout.rank_site[i], layout.colocated[i],
-                    unit, wire[i])
-            return float(per_rank.max())
         combos, first, _ = _rank_combo_index(layout)
         return float(max(
             self._alltoallv_rank_total(layout, si, colo, unit, wire[fi])
@@ -733,7 +657,7 @@ class CollectiveCostModel:
 
     def _alltoallv_wire_one(self, layout: GroupLayout, si: int,
                             colocated: int, bytes_per_pair: int) -> float:
-        """One rank's bytes-on-the-wire seconds (shared loop body)."""
+        """One rank's bytes-on-the-wire seconds."""
         pa = self.params
         counts = layout.site_counts.astype(float).copy()
         counts[si] -= 1  # exclude self
@@ -779,14 +703,6 @@ class CollectiveCostModel:
         p = layout.p
         if bytes_per_pair <= 0:
             return np.zeros(p)
-        if self.params.kernel == "reference":
-            self.stats.alltoallv_rank_evals += p
-            out = np.zeros(p)
-            for i in range(p):
-                out[i] = self._alltoallv_wire_one(
-                    layout, layout.rank_site[i], layout.colocated[i],
-                    bytes_per_pair)
-            return out
         combos, _, inverse = _rank_combo_index(layout)
         self.stats.alltoallv_combo_evals += len(combos)
         vals = np.array([

@@ -25,7 +25,6 @@ jobs completed degraded and which failed outright.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Sequence
 
@@ -268,29 +267,6 @@ class ChurnInjector:
                     events.append(FailureEvent(t + revive_after_s, name, False))
         events.sort(key=lambda e: (e.time, e.host_name))
         return events
-
-    @staticmethod
-    def poisson_schedule(
-        hosts: Sequence[str],
-        rate_per_host_s: float,
-        horizon_s: float,
-        rng: np.random.Generator,
-        revive_after_s: Optional[float] = None,
-    ) -> List[FailureEvent]:
-        """Deprecated name for :meth:`first_failure_schedule`.
-
-        The name over-promised: despite the exponential draw this never
-        was a Poisson *process* — each host fails at most once, so any
-        "rate" sweep over it is secretly a probability sweep.
-        """
-        warnings.warn(
-            "ChurnInjector.poisson_schedule draws one failure per host and "
-            "is deprecated: use first_failure_schedule (same behaviour) or "
-            "sustained_schedule (a true ongoing failure process)",
-            DeprecationWarning, stacklevel=2)
-        return ChurnInjector.first_failure_schedule(
-            hosts, rate_per_host_s, horizon_s, rng,
-            revive_after_s=revive_after_s)
 
     @staticmethod
     def sustained_schedule(

@@ -1,13 +1,11 @@
-"""Admission atomicity: the check-then-act race and its fix.
+"""Admission atomicity under concurrent submitters.
 
-The legacy admission flow was ``can_accept`` (check) then ``hold``
-(act).  Under the synchronous DES middleware nothing interleaves
-between the two, but with concurrent submitters (the asyncio control
-plane) both callers can pass the check before either acts — exceeding
-the owner's ``J`` limit.  These tests pin the race on the legacy pair
-and prove :meth:`Gatekeeper.try_admit` closes it, plus the
-``admitted``-counter idempotency fix and a seeded property test of the
-ledger invariants under arbitrary interleavings.
+A check-then-act admission (policy check, suspension point, slot pin)
+lets two interleaved submitters both pass the check before either
+acts, exceeding the owner's ``J`` limit.  These tests prove
+:meth:`Gatekeeper.try_admit` admits exactly one under that
+interleaving, pin its idempotency per key, and run a seeded property
+test of the ledger invariants under arbitrary interleavings.
 """
 
 import asyncio
@@ -27,42 +25,15 @@ def make_gk(j=1, p=4, denied=()):
 
 
 class TestCheckThenActRace:
-    """The pinned race: legacy pair overshoots J, try_admit does not."""
-
-    @staticmethod
-    async def _submit_legacy(gk, key):
-        # check ...
-        ok = gk.can_accept("user")
-        # ... suspension point: any other submitter may run here ...
-        await asyncio.sleep(0)
-        # ... act.
-        if ok:
-            gk.hold(key)
-            return True
-        gk.refuse()
-        return False
+    """Interleaved submitters never push try_admit past J."""
 
     @staticmethod
     async def _submit_atomic(gk, key):
         await asyncio.sleep(0)
         return gk.try_admit(key, "user")
 
-    def test_legacy_pair_exceeds_j_limit(self):
-        """The bug: two interleaved submitters both pass ``can_accept``
-        with J=1, then both ``hold`` — J is exceeded."""
-        gk = make_gk(j=1)
-
-        async def race():
-            return await asyncio.gather(
-                self._submit_legacy(gk, "job-a"),
-                self._submit_legacy(gk, "job-b"))
-
-        assert run_virtual(race()) == [True, True]
-        assert gk.applications_in_flight == 2  # > j_limit: the race
-        assert gk.applications_in_flight > gk.prefs.j_limit
-
     def test_try_admit_closes_the_race(self):
-        """Same interleaving, atomic admission: exactly one wins."""
+        """Two interleaved submitters with J=1: exactly one wins."""
         gk = make_gk(j=1)
 
         async def race():
@@ -74,6 +45,20 @@ class TestCheckThenActRace:
         assert sorted(outcomes) == [False, True]
         assert gk.applications_in_flight == 1
         assert gk.admitted == 1 and gk.refused == 1
+
+    def test_try_admit_race_admits_exactly_j(self):
+        """Five interleaved submitters against J=3: three win, the rest
+        are refused and counted."""
+        gk = make_gk(j=3)
+
+        async def race():
+            return await asyncio.gather(
+                *(self._submit_atomic(gk, f"job-{i}") for i in range(5)))
+
+        outcomes = run_virtual(race())
+        assert outcomes.count(True) == 3
+        assert gk.applications_in_flight == 3 == gk.prefs.j_limit
+        assert gk.admitted == 3 and gk.refused == 2
 
     def test_try_admit_respects_denied_list(self):
         gk = make_gk(j=4, denied=["mallory"])
@@ -91,22 +76,39 @@ class TestCheckThenActRace:
         assert gk.admitted == 1 and gk.refused == 0
 
 
-class TestHoldIdempotency:
-    """The counter fix: re-hold must not double-count ``admitted``."""
+class TestAdmissionLifecycle:
+    """How a pinned ``J`` slot is given back, and what that counts."""
 
-    def test_double_hold_counts_admitted_once(self):
+    def test_readmit_after_release_counts_again(self):
+        """Only a held key is idempotent: once released, the same key
+        is a new admission and ``admitted`` moves again."""
         gk = make_gk(j=2)
-        assert gk.hold("k") is True
-        assert gk.hold("k") is False  # key already held
-        assert gk.admitted == 1
+        assert gk.try_admit("k", "user")
+        assert gk.release_hold("k")
+        assert not gk.release_hold("k")  # already released
+        assert gk.try_admit("k", "user")
+        assert gk.admitted == 2
         assert gk.applications_in_flight == 1
 
-    def test_hold_returns_whether_key_was_new(self):
-        gk = make_gk(j=2)
-        assert gk.hold("a") is True
-        assert gk.hold("b") is True
-        assert gk.hold("a") is False
-        assert gk.admitted == 2
+    def test_release_hold_frees_the_slot(self):
+        gk = make_gk(j=1)
+        assert gk.try_admit("a", "user")
+        assert not gk.try_admit("b", "user")
+        assert gk.release_hold("a")
+        assert gk.try_admit("b", "user")
+        assert gk.admitted == 2 and gk.refused == 1
+
+    def test_running_application_keeps_its_slot(self):
+        """Starting converts the hold into a running app without
+        freeing ``J``; only ending the application does."""
+        gk = make_gk(j=1)
+        assert gk.try_admit("a", "user")
+        gk.start_application("a", "job-a", 2)
+        assert not gk.held and gk.busy_processes == 2
+        assert not gk.try_admit("b", "user")
+        gk.end_application("job-a")
+        assert gk.try_admit("b", "user")
+        assert gk.admitted == 2 and gk.refused == 1
 
 
 class TestAdmissionPropertyInvariants:

@@ -64,13 +64,14 @@ class TestStartRefused:
         # crash the host when its reservation is held.
         victim_name = "b1-1.beta"
         victim = cluster.mpds[victim_name]
-        original_hold = victim.gatekeeper.hold
+        original_admit = victim.gatekeeper.try_admit
 
-        def hold_then_die(key):
-            original_hold(key)
+        def admit_then_die(key, submitter):
+            admitted = original_admit(key, submitter)
             cluster.network.set_down(victim_name)
+            return admitted
 
-        victim.gatekeeper.hold = hold_then_die
+        victim.gatekeeper.try_admit = admit_then_die
         res = cluster.submit_and_run(JobRequest(n=10, strategy="spread"))
         # Either the victim is in slist (silent at START -> launch
         # failure) or overbooking replaced it (success).

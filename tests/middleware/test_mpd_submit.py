@@ -141,7 +141,7 @@ class TestGatekeeperIntegration:
         """Occupy one alpha host with a fake app; concentrate must skip it."""
         cluster = small_cluster
         victim = cluster.mpds["a1-2.alpha"]
-        victim.gatekeeper.hold("occupied")
+        assert victim.gatekeeper.try_admit("occupied", "other")
         victim.gatekeeper.start_application("occupied", "other-job", 2)
         res = cluster.submit_and_run(JobRequest(n=8, strategy="concentrate"))
         assert res.status is JobStatus.SUCCESS

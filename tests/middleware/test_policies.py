@@ -61,25 +61,22 @@ class TestGatekeeper:
 
     def test_accept_within_j(self):
         gk = self.make(j=2)
-        assert gk.can_accept("x")
-        gk.hold("k1")
-        assert gk.can_accept("x")
-        gk.hold("k2")
-        assert not gk.can_accept("x")
+        assert gk.try_admit("k1", "x")
+        assert gk.try_admit("k2", "x")
+        assert not gk.try_admit("k3", "x")
 
     def test_denied_submitter(self):
         gk = Gatekeeper("h.s", OwnerPrefs(denied=frozenset({"bad"})))
-        assert not gk.can_accept("bad")
-        gk.refuse()
+        assert not gk.try_admit("k", "bad")
         assert gk.refused == 1
 
     def test_running_counts_against_j(self):
         gk = self.make(j=1)
-        gk.hold("k")
+        gk.try_admit("k", "x")
         gk.start_application("k", "job1", 2)
-        assert not gk.can_accept("x")
+        assert not gk.try_admit("k2", "x")
         gk.end_application("job1")
-        assert gk.can_accept("x")
+        assert gk.try_admit("k3", "x")
 
     def test_start_without_hold_raises(self):
         gk = self.make()
@@ -88,15 +85,15 @@ class TestGatekeeper:
 
     def test_start_beyond_p_raises(self):
         gk = self.make(p=2)
-        gk.hold("k")
+        gk.try_admit("k", "x")
         with pytest.raises(AdmissionError):
             gk.start_application("k", "job", 3)
 
     def test_double_start_same_job_raises(self):
         gk = self.make(j=2)
-        gk.hold("k1")
+        gk.try_admit("k1", "x")
         gk.start_application("k1", "job", 1)
-        gk.hold("k2")
+        gk.try_admit("k2", "x")
         with pytest.raises(AdmissionError):
             gk.start_application("k2", "job", 1)
 
@@ -106,14 +103,14 @@ class TestGatekeeper:
 
     def test_release_hold(self):
         gk = self.make()
-        gk.hold("k")
+        gk.try_admit("k", "x")
         assert gk.release_hold("k")
         assert not gk.release_hold("k")
-        assert gk.can_accept("x")
+        assert gk.try_admit("k2", "x")
 
     def test_busy_processes(self):
         gk = self.make(j=2, p=4)
-        gk.hold("k1")
+        gk.try_admit("k1", "x")
         gk.start_application("k1", "j1", 3)
         assert gk.busy_processes == 3
 

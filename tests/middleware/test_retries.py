@@ -28,7 +28,8 @@ class TestRetries:
         cluster = make_cluster(retries=2, backoff=1.0)
         # Hold every host with a foreign reservation (J=1 -> all NOK).
         for mpd in cluster.mpds.values():
-            mpd.gatekeeper.hold(f"rival-{mpd.host.name}")
+            assert mpd.gatekeeper.try_admit(f"rival-{mpd.host.name}",
+                                            "rival")
 
         def release_later():
             yield cluster.sim.timeout(2.0)
@@ -55,7 +56,7 @@ class TestRetries:
     def test_refusals_aggregated_across_attempts(self):
         cluster = make_cluster(retries=1, backoff=0.1)
         blocker = cluster.mpds["b1-1.beta"]
-        blocker.gatekeeper.hold("rival")
+        assert blocker.gatekeeper.try_admit("rival", "rival")
         res = cluster.submit_and_run(JobRequest(n=10, strategy="spread"))
         # b1-1.beta refused in every attempted round but the job fits
         # without it (alpha hosts double up).

@@ -2,9 +2,9 @@
 
 The perf tentpole's correctness contract (DESIGN.md §11): for every
 collective, over randomized plans (varying p, site mixes, colocation,
-replication census, all WAN contention modes), the ``kernel="vector"``
-path must agree with the retained scalar ``kernel="reference"`` path
-*bit for bit* — not approximately.  Both paths share the same scalar
+replication census, all WAN contention modes), the vector kernels of
+:class:`CollectiveCostModel` must agree with the scalar
+:class:`ReferenceCostModel` loops *bit for bit* — not approximately.  Both paths share the same scalar
 arithmetic bodies and summation order, so any drift is a bug.
 
 Also pins the supporting layers: the rank x rank ``pairwise_times``
@@ -23,6 +23,7 @@ from repro.cluster import DEFAULT_COST_PARAMS
 from repro.grid5000.builder import build_topology
 from repro.mpi.costmodel import CollectiveCostModel
 from repro.net.contention import ContentionModel, IncrementalPlanScore
+from tests.mpi.reference_kernel import ReferenceCostModel
 
 TOPO = build_topology()
 ALL_HOSTS = TOPO.all_hosts()
@@ -44,11 +45,7 @@ def model_pair(mode, **overrides):
     """(vector, reference) models sharing every other parameter."""
     base = dataclasses.replace(DEFAULT_COST_PARAMS,
                                wan_contention=mode, **overrides)
-    vec = CollectiveCostModel(
-        TOPO, dataclasses.replace(base, kernel="vector"))
-    ref = CollectiveCostModel(
-        TOPO, dataclasses.replace(base, kernel="reference"))
-    return vec, ref
+    return CollectiveCostModel(TOPO, base), ReferenceCostModel(TOPO, base)
 
 
 def assert_all_collectives_equal(vec, ref, lay_v, lay_r, rng):
@@ -162,11 +159,8 @@ class TestRoutedTopologies:
         }[family]()
         base = dataclasses.replace(DEFAULT_COST_PARAMS,
                                    wan_contention=mode)
-        vec = CollectiveCostModel(
-            topo, dataclasses.replace(base, kernel="vector"))
-        ref = CollectiveCostModel(
-            topo, dataclasses.replace(base, kernel="reference"))
-        return topo, vec, ref
+        return (topo, CollectiveCostModel(topo, base),
+                ReferenceCostModel(topo, base))
 
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("family",

@@ -162,33 +162,33 @@ class TestChurn:
             sim.run_until_complete(proc)
 
 
-class TestPoissonDeprecation:
-    """Pins both behaviours of the renamed one-shot schedule.
+class TestScheduleModes:
+    """The one-shot and sustained schedules differ in kind.
 
-    ``poisson_schedule`` never was a Poisson *process*: each host draws
-    one exponential and fails at most once, so a "rate" sweep over it
-    is secretly a sweep of P(fail before horizon).  The name is kept as
-    a warning alias of ``first_failure_schedule``; the honest rate axis
-    lives in ``sustained_schedule``.
+    ``first_failure_schedule`` is not a Poisson *process*: each host
+    draws one exponential and fails at most once, so a "rate" sweep
+    over it is secretly a sweep of P(fail before horizon).  The honest
+    rate axis lives in ``sustained_schedule``.
     """
-
-    def test_alias_warns_and_matches_new_name(self):
-        hosts = [f"h{i}" for i in range(10)]
-        with pytest.warns(DeprecationWarning, match="one failure per host"):
-            old = ChurnInjector.poisson_schedule(
-                hosts, 0.05, 60.0, np.random.default_rng(3))
-        new = ChurnInjector.first_failure_schedule(
-            hosts, 0.05, 60.0, np.random.default_rng(3))
-        assert old == new
 
     def test_one_shot_caps_at_one_failure_per_host(self):
         # Even at an absurd rate, the one-shot mode never crashes a
-        # host twice — the property that made the old name a lie.
+        # host twice.
         events = ChurnInjector.first_failure_schedule(
             ["a", "b"], rate_per_host_s=100.0, horizon_s=1000.0,
             rng=np.random.default_rng(0))
         crashes = [e.host_name for e in events if e.down]
         assert sorted(crashes) == ["a", "b"]
+
+    def test_one_shot_knob_is_failure_probability(self):
+        """The share of hosts the one-shot mode crashes is
+        ``1 - exp(-rate * horizon)``: a probability, not a rate."""
+        hosts = [f"h{i}" for i in range(4000)]
+        events = ChurnInjector.first_failure_schedule(
+            hosts, rate_per_host_s=0.01, horizon_s=100.0,
+            rng=np.random.default_rng(3))
+        share = len({e.host_name for e in events if e.down}) / len(hosts)
+        assert share == pytest.approx(1.0 - np.exp(-1.0), abs=0.03)
 
     def test_sustained_mode_fails_hosts_repeatedly(self):
         events = ChurnInjector.sustained_schedule(

@@ -5,7 +5,7 @@ import functools
 import pytest
 
 import repro.cli as cli
-from repro.cli import build_parser, main, make_app
+from repro.cli import build_parser, build_run_parser, main, make_app
 from repro.cluster import ClusterSpec
 from repro.experiments.coallocation import coallocation_spec
 
@@ -23,7 +23,7 @@ class TestParser:
             100, 2, "concentrate", "ep")
 
     def test_experiment_flag(self):
-        args = build_parser().parse_args(["--experiment", "table1"])
+        args = build_run_parser().parse_args(["table1"])
         assert args.experiment == "table1"
 
 
@@ -49,20 +49,19 @@ class TestMain:
         assert "success" in out and "nancy" in out
 
     def test_table1(self, capsys):
-        assert main(["--experiment", "table1"]) == 0
+        assert main(["run", "table1"]) == 0
         out = capsys.readouterr().out
         assert "grelon" in out and "sol" in out and "17.167" in out
 
 
 class TestEngineFlags:
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["--experiment", "fig2"])
+        args = build_run_parser().parse_args(["fig2"])
         assert args.jobs == 1 and args.out is None and not args.force
 
     def test_campaign_choice(self):
-        args = build_parser().parse_args(
-            ["--experiment", "all", "--jobs", "4", "--out", "/tmp/r",
-             "--force"])
+        args = build_run_parser().parse_args(
+            ["all", "--jobs", "4", "--out", "/tmp/r", "--force"])
         assert args.experiment == "all"
         assert (args.jobs, args.out, args.force) == (4, "/tmp/r", True)
 
@@ -77,7 +76,7 @@ class TestEngineFlags:
                 cluster_spec=ClusterSpec(kind="small")))
 
     def test_fig2_runs_stores_and_caches(self, fast_fig2, tmp_path, capsys):
-        argv = ["--experiment", "fig2", "--jobs", "2",
+        argv = ["run", "fig2", "--jobs", "2",
                 "--out", str(tmp_path)]
         assert main(argv) == 0
         first = capsys.readouterr().out
@@ -93,14 +92,14 @@ class TestEngineFlags:
         assert "(2 executed, 0 cached)" in third
 
     def test_fig2_without_store(self, fast_fig2, capsys):
-        assert main(["--experiment", "fig2"]) == 0
+        assert main(["run", "fig2"]) == 0
         out = capsys.readouterr().out
         assert "[engine] sweep fig2" in out and ".jsonl" not in out
 
 
 class TestGridOverrides:
     def test_coallocation_small_grid(self, tmp_path, capsys):
-        argv = ["--experiment", "coallocation", "--cluster", "small",
+        argv = ["run", "coallocation", "--cluster", "small",
                 "--demands", "4,8", "--jobs", "2", "--out", str(tmp_path)]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -111,10 +110,10 @@ class TestGridOverrides:
 
     def test_bad_demands_rejected(self):
         with pytest.raises(SystemExit):
-            main(["--experiment", "coallocation", "--demands", "4,x"])
+            main(["run", "coallocation", "--demands", "4,x"])
 
     def test_commaware_small_report(self, capsys):
-        argv = ["--experiment", "commaware", "--cluster", "small",
+        argv = ["run", "commaware", "--cluster", "small",
                 "--demands", "4,8"]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -127,7 +126,7 @@ class TestGridOverrides:
         assert " s " not in out.splitlines()[0]
 
     def test_commaware_byte_identical_across_jobs(self, capsys):
-        argv = ["--experiment", "commaware", "--cluster", "small",
+        argv = ["run", "commaware", "--cluster", "small",
                 "--demands", "4,8"]
         assert main(argv + ["--jobs", "1"]) == 0
         serial = capsys.readouterr().out
@@ -140,38 +139,38 @@ class TestShardedCampaign:
     """--shard K/N plus the merge/aggregate verbs, end to end."""
 
     def shard_argv(self, k, n, out):
-        return ["--experiment", "coallocation", "--cluster", "small",
+        return ["run", "coallocation", "--cluster", "small",
                 "--demands", "4,8", "--shard", f"{k}/{n}", "--out", out]
 
     def test_parser_accepts_shard(self):
-        args = build_parser().parse_args(
-            ["--experiment", "commaware", "--shard", "2/3", "--out", "/x"])
+        args = build_run_parser().parse_args(
+            ["commaware", "--shard", "2/3", "--out", "/x"])
         assert args.shard == (2, 3)
 
     def test_bad_shard_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--shard", "0/3"])
+            build_run_parser().parse_args(["fig2", "--shard", "0/3"])
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--shard", "nope"])
+            build_run_parser().parse_args(["fig2", "--shard", "nope"])
 
     def test_shard_requires_experiment_and_out(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["-n", "4", "--shard", "1/2", "--out", str(tmp_path)])
         with pytest.raises(SystemExit):
-            main(["--experiment", "coallocation", "--shard", "1/2"])
+            main(["run", "coallocation", "--shard", "1/2"])
         with pytest.raises(SystemExit):
-            main(["--experiment", "table1", "--shard", "1/2",
+            main(["run", "table1", "--shard", "1/2",
                   "--out", str(tmp_path)])
 
     def test_shard_with_force_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
-            main(["--experiment", "coallocation", "--shard", "1/2",
+            main(["run", "coallocation", "--shard", "1/2",
                   "--out", str(tmp_path), "--force"])
 
     def test_fully_cached_shard_reports_no_checkpoint(self, tmp_path,
                                                       capsys):
         out = str(tmp_path)
-        assert main(["--experiment", "coallocation", "--cluster", "small",
+        assert main(["run", "coallocation", "--cluster", "small",
                      "--demands", "4,8", "--out", out]) == 0
         capsys.readouterr()
         assert main(self.shard_argv(1, 2, out)) == 0
@@ -181,7 +180,7 @@ class TestShardedCampaign:
 
     def test_shard_merge_reproduces_unsharded_store(self, tmp_path, capsys):
         ref = tmp_path / "ref"
-        assert main(["--experiment", "coallocation", "--cluster", "small",
+        assert main(["run", "coallocation", "--cluster", "small",
                      "--demands", "4,8", "--out", str(ref)]) == 0
         capsys.readouterr()
         for k in (1, 2):
@@ -213,7 +212,7 @@ class TestShardedCampaign:
         import json
 
         ref = tmp_path / "ref"
-        assert main(["--experiment", "coallocation", "--cluster", "small",
+        assert main(["run", "coallocation", "--cluster", "small",
                      "--demands", "4,8", "--out", str(ref)]) == 0
         capsys.readouterr()
         original = next(ref.glob("coallocation-*.jsonl"))
@@ -270,7 +269,7 @@ class TestShardedCampaign:
         import json
 
         ref = tmp_path / "ref"
-        assert main(["--experiment", "coallocation", "--cluster", "small",
+        assert main(["run", "coallocation", "--cluster", "small",
                      "--demands", "4,8", "--out", str(ref)]) == 0
         capsys.readouterr()
         canonical = next(ref.glob("coallocation-*.jsonl"))
@@ -289,7 +288,7 @@ class TestShardedCampaign:
 class TestJobsFlag:
     def test_negative_rejected(self):
         with pytest.raises(SystemExit):
-            main(["--experiment", "coallocation", "--jobs", "-1"])
+            main(["run", "coallocation", "--jobs", "-1"])
 
     def test_zero_auto_sizes(self, tmp_path, monkeypatch, capsys):
         import repro.experiments.coallocation as coallocation_mod
@@ -303,33 +302,33 @@ class TestJobsFlag:
 
         monkeypatch.setattr(coallocation_mod, "coallocation_sweep", spy)
         monkeypatch.setattr("os.cpu_count", lambda: 3)
-        assert main(["--experiment", "coallocation", "--cluster", "small",
+        assert main(["run", "coallocation", "--cluster", "small",
                      "--demands", "4", "--jobs", "0"]) == 0
         assert seen["jobs"] == 3
 
 
 class TestChurnload:
-    SMOKE = ["--experiment", "churnload", "--cluster", "small",
+    SMOKE = ["run", "churnload", "--cluster", "small",
              "--users", "2", "--horizon", "120", "--failures", "0.006"]
 
     def test_parser_flags(self):
-        args = build_parser().parse_args(
-            ["--experiment", "churnload", "--users", "3",
+        args = build_run_parser().parse_args(
+            ["churnload", "--users", "3",
              "--horizon", "90", "--failures", "0,0.01"])
         assert args.experiment == "churnload"
         assert (args.users, args.horizon, args.failures) == (3, 90.0, "0,0.01")
 
     def test_bad_failures_rejected(self):
         with pytest.raises(SystemExit):
-            main(["--experiment", "churnload", "--failures", "0.1,x"])
+            main(["run", "churnload", "--failures", "0.1,x"])
         with pytest.raises(SystemExit):
-            main(["--experiment", "churnload", "--failures", "-0.1"])
+            main(["run", "churnload", "--failures", "-0.1"])
 
     def test_bad_horizon_and_users_rejected(self):
         with pytest.raises(SystemExit):
-            main(["--experiment", "churnload", "--horizon", "0"])
+            main(["run", "churnload", "--horizon", "0"])
         with pytest.raises(SystemExit):
-            main(["--experiment", "churnload", "--users", "0"])
+            main(["run", "churnload", "--users", "0"])
 
     def test_smoke_report_byte_identical_across_jobs(self, capsys):
         assert main(self.SMOKE + ["--jobs", "1"]) == 0
@@ -352,26 +351,26 @@ class TestChurnload:
 
 
 class TestApplatency:
-    SMOKE = ["--experiment", "applatency", "--demands", "32",
+    SMOKE = ["run", "applatency", "--demands", "32",
              "--ratios", "1,1000"]
 
     def test_parser_flags(self):
-        args = build_parser().parse_args(
-            ["--experiment", "applatency", "--ratios", "1,121.6"])
+        args = build_run_parser().parse_args(
+            ["applatency", "--ratios", "1,121.6"])
         assert args.experiment == "applatency"
         assert args.ratios == "1,121.6"
 
     def test_bad_ratios_rejected(self):
         with pytest.raises(SystemExit):
-            main(["--experiment", "applatency", "--ratios", "1,x"])
+            main(["run", "applatency", "--ratios", "1,x"])
         with pytest.raises(SystemExit):
-            main(["--experiment", "applatency", "--ratios", "0"])
+            main(["run", "applatency", "--ratios", "0"])
         with pytest.raises(SystemExit):
-            main(["--experiment", "applatency", "--ratios", ""])
+            main(["run", "applatency", "--ratios", ""])
         with pytest.raises(SystemExit):
-            main(["--experiment", "applatency", "--demands", ""])
+            main(["run", "applatency", "--demands", ""])
         with pytest.raises(SystemExit):
-            main(["--experiment", "applatency", "--demands", "0"])
+            main(["run", "applatency", "--demands", "0"])
 
     def test_smoke_report_byte_identical_across_jobs(self, capsys):
         assert main(self.SMOKE + ["--jobs", "1"]) == 0
@@ -398,19 +397,19 @@ class TestApplatency:
 
 class TestProfile:
     def test_parser_flag(self):
-        args = build_parser().parse_args(
-            ["--experiment", "coallocation", "--profile"])
+        args = build_run_parser().parse_args(["coallocation", "--profile"])
         assert args.profile is True
-        assert build_parser().parse_args(["-n", "4"]).profile is False
+        assert build_run_parser().parse_args(["coallocation"]).profile \
+            is False
 
     def test_profile_requires_experiment(self):
         with pytest.raises(SystemExit):
             main(["-n", "4", "--profile"])
         with pytest.raises(SystemExit):
-            main(["--experiment", "table1", "--profile"])
+            main(["run", "table1", "--profile"])
 
     def test_profile_dumps_pstats_next_to_store(self, tmp_path, capsys):
-        argv = ["--experiment", "coallocation", "--cluster", "small",
+        argv = ["run", "coallocation", "--cluster", "small",
                 "--demands", "4", "--profile", "--out", str(tmp_path)]
         assert main(argv) == 0
         out = capsys.readouterr().out
@@ -425,22 +424,32 @@ class TestProfile:
 
 
 class TestSubcommands:
-    """The verb CLI and the legacy --experiment shim pin to each other."""
+    """The verb CLI: ``run`` validations, and the removed spellings."""
 
-    ARGS = ["coallocation", "--cluster", "small", "--demands", "4,8"]
+    def test_removed_spellings_are_usage_errors(self, capsys):
+        """``--experiment`` and sweep flags such as ``--jobs`` are not
+        job-form flags: both exit with argparse's usage error."""
+        for argv in (["--experiment", "table1"], ["--experiment=table1"],
+                     ["-n", "4", "--jobs", "2", "hostname"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "usage: p2pmpirun" in capsys.readouterr().err
 
-    def test_run_verb_matches_legacy_output_and_store(self, tmp_path,
-                                                      capsys):
-        legacy_out = tmp_path / "legacy"
-        run_out = tmp_path / "run"
-        assert main(["--experiment"] + self.ARGS
-                    + ["--out", str(legacy_out)]) == 0
-        legacy = capsys.readouterr()
-        assert "deprecated" in legacy.err
-        assert "p2pmpirun run coallocation" in legacy.err
-        assert main(["run"] + self.ARGS + ["--out", str(run_out)]) == 0
-        sub = capsys.readouterr()
-        assert sub.err == ""
+    ARGS = ["run", "coallocation", "--cluster", "small",
+            "--demands", "4,8"]
+
+    def test_run_store_and_report_identical_across_jobs(self, tmp_path,
+                                                        capsys):
+        serial_out = tmp_path / "serial"
+        pooled_out = tmp_path / "pooled"
+        assert main(self.ARGS + ["--jobs", "1",
+                                 "--out", str(serial_out)]) == 0
+        serial = capsys.readouterr()
+        assert main(self.ARGS + ["--jobs", "2",
+                                 "--out", str(pooled_out)]) == 0
+        pooled = capsys.readouterr()
+        assert serial.err == "" and pooled.err == ""
 
         def report_lines(text):
             # the [engine] line carries wall-clock timing; the report
@@ -448,24 +457,29 @@ class TestSubcommands:
             return [line for line in text.splitlines()
                     if not line.startswith("[engine]")]
 
-        assert report_lines(legacy.out) == report_lines(sub.out)
-        reference = next(legacy_out.glob("coallocation-*.jsonl"))
-        produced = next(run_out.glob("coallocation-*.jsonl"))
+        assert report_lines(serial.out) == report_lines(pooled.out)
+        reference = next(serial_out.glob("coallocation-*.jsonl"))
+        produced = next(pooled_out.glob("coallocation-*.jsonl"))
         assert produced.name == reference.name
         assert produced.read_bytes() == reference.read_bytes()
 
-    def test_legacy_and_run_share_one_store(self, tmp_path, capsys):
+    def test_rerun_into_same_store_is_pure_cache_hit(self, tmp_path,
+                                                     capsys):
         out = str(tmp_path)
-        assert main(["run"] + self.ARGS + ["--out", out]) == 0
-        capsys.readouterr()
-        assert main(["--experiment"] + self.ARGS + ["--out", out]) == 0
+        assert main(self.ARGS + ["--out", out]) == 0
+        assert "(4 executed, 0 cached)" in capsys.readouterr().out
+        assert main(self.ARGS + ["--jobs", "2", "--out", out]) == 0
         assert "(0 executed, 4 cached)" in capsys.readouterr().out
 
-    def test_experiment_equals_form_rewritten(self, capsys):
-        assert main(["--experiment=table1"]) == 0
-        captured = capsys.readouterr()
-        assert "grelon" in captured.out
-        assert "run table1" in captured.err
+    def test_job_parser_rejects_sweep_flags(self, capsys):
+        """The job form reads only ``-n -r -a --block --group --class
+        --seed prog``; campaign flags belong to ``run``."""
+        for flag in (["--out", "/x"], ["--force"], ["--cluster", "small"],
+                     ["--profile"]):
+            with pytest.raises(SystemExit) as exc:
+                build_parser().parse_args(["-n", "4", *flag])
+            assert exc.value.code == 2
+        capsys.readouterr()
 
     def test_run_rejects_unknown_experiment(self):
         with pytest.raises(SystemExit):

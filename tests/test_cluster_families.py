@@ -1,21 +1,20 @@
-"""The TopologyFamily registry: schema validation, builders, shims.
+"""The TopologyFamily registry: schema validation and builders.
 
 The api_redesign contract (DESIGN.md §14): cluster recipes are
 declarative families with a parameter schema, a misspelled parameter
 fails at *spec-construction* time with the accepted names in the
-message, generated families build deterministically from ``topo_seed``,
-and the legacy ``register_cluster_kind``/``cluster_kinds`` entry
-points keep working behind a one-shot stderr deprecation note.
+message, and generated families build deterministically from
+``topo_seed``.
 """
 
 import pytest
 
+import repro.cluster
 from repro.cluster import (ClusterSpec, FamilyParam, TopologyFamily,
                            build_fat_sites_cluster,
                            build_scale_free_cluster,
-                           build_small_world_cluster, cluster_kinds,
-                           family_names, get_family, register_cluster_kind,
-                           register_family)
+                           build_small_world_cluster, family_names,
+                           get_family, register_family)
 from repro.net.families import GENERATED_FAMILIES
 
 
@@ -35,6 +34,42 @@ class TestRegistry:
     def test_unknown_family_lookup(self):
         with pytest.raises(KeyError):
             get_family("quake")
+
+
+class TestRegisterFamily:
+    """A family registered at run time behaves like a built-in one."""
+
+    @pytest.fixture(autouse=True)
+    def isolated_registry(self, monkeypatch):
+        monkeypatch.setattr(repro.cluster, "_FAMILIES",
+                            dict(repro.cluster._FAMILIES))
+
+    @staticmethod
+    def _family(seen, name="test-kind", default=1):
+        def builder(seed=0, config=None, boot=True, **params):
+            seen.append(params)
+            return ClusterSpec(kind="small", boot=False).build(seed=seed)
+
+        return TopologyFamily(name=name, builder=builder,
+                              params=(FamilyParam("width", default),))
+
+    def test_registered_family_reaches_spec_build(self):
+        seen = []
+        register_family(self._family(seen))
+        assert "test-kind" in family_names()
+        ClusterSpec(kind="test-kind", params=(("width", 3),)).build(seed=0)
+        assert seen == [{"width": 3}]
+
+    def test_registered_family_validates_spec_params(self):
+        register_family(self._family([]))
+        with pytest.raises(ValueError, match="test-kind.*accepted"):
+            ClusterSpec(kind="test-kind", params=(("whatever", 3),))
+
+    def test_reregistering_replaces_family(self):
+        register_family(self._family([], default=1))
+        register_family(self._family([], default=2))
+        assert get_family("test-kind").defaults() == {"width": 2}
+        assert family_names().count("test-kind") == 1
 
 
 class TestSpecValidation:
@@ -93,36 +128,6 @@ class TestGeneratedBuilders:
         assert sorted(a.topology._links) == sorted(c.topology._links)
 
 
-class TestDeprecatedShims:
-    def test_register_cluster_kind_still_registers(self, capsys):
-        calls = {}
-
-        def legacy_builder(seed=0, config=None, boot=True, **kw):
-            calls["kw"] = kw
-            return ClusterSpec(kind="small", boot=False).build(seed=seed)
-
-        register_cluster_kind("legacy-test-kind", legacy_builder)
-        err = capsys.readouterr().err
-        assert ("deprecated" in err
-                or "register_cluster_kind" not in err)  # note is one-shot
-        # Legacy registrations skip schema validation (params=None):
-        # any kwarg reaches the builder.
-        spec = ClusterSpec(kind="legacy-test-kind",
-                           params=(("whatever", 3),))
-        spec.build(seed=0)
-        assert calls["kw"] == {"whatever": 3}
-
-    def test_cluster_kinds_matches_family_names(self, capsys):
-        assert cluster_kinds() == family_names()
-        capsys.readouterr()
-
-    def test_note_printed_once_per_process(self, capsys):
-        cluster_kinds()
-        cluster_kinds()
-        err = capsys.readouterr().err
-        assert err.count("cluster_kinds() is deprecated") <= 1
-
-
 class TestFamilyDataclass:
     def test_validate_accepts_declared(self):
         family = TopologyFamily(
@@ -131,6 +136,13 @@ class TestFamilyDataclass:
         family.validate({"x": 2})
         with pytest.raises(ValueError, match="accepted"):
             family.validate({"y": 2})
+
+    def test_default_schema_is_empty(self):
+        family = TopologyFamily(name="t", builder=lambda **kw: None)
+        assert family.params == ()
+        assert family.defaults() == {}
+        with pytest.raises(ValueError, match="accepted: \\[\\]"):
+            family.validate({"x": 1})
 
     def test_build_passes_through(self):
         seen = {}

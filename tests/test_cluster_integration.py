@@ -46,7 +46,7 @@ class TestFacade:
     def test_load_feedback_into_latency(self, small_cluster):
         """Busy hosts look slower to the ping (load_of wiring)."""
         mpd = small_cluster.mpds["a1-2.alpha"]
-        mpd.gatekeeper.hold("k")
+        assert mpd.gatekeeper.try_admit("k", "other")
         mpd.gatekeeper.start_application("k", "busyjob", 4)
         assert small_cluster.latency_model.load_of("a1-2.alpha") == 4
         mpd.gatekeeper.end_application("busyjob")
