@@ -7,10 +7,12 @@ Loosely-Synchronous Parallel Programs over Peer-to-Peer Networks")
 instead keeps trading work between *neighboring* hosts: each tick,
 every overloaded host may push one running copy to its least-loaded
 near neighbor when the load gap exceeds a threshold.  Locality comes
-from the neighbor map (k nearest hosts by RTT via
-:meth:`~repro.net.topology.Topology.path_metrics`), so rebalancing
+from the neighbor map (k nearest hosts by path RTT), so rebalancing
 never needs a global view — exactly the property that makes the scheme
-viable on a P2P overlay.
+viable on a P2P overlay.  Path RTT between two distinct hosts depends
+only on their two sites, so the map is ranked once per site over the
+site RTT matrix rather than once per host pair (see
+:func:`neighbor_map`).
 
 This module holds the *pure* decision functions (deterministic, easily
 property-tested) plus the :class:`DiffusiveStrategy` placement entry in
@@ -20,6 +22,7 @@ the registry; the sim-side controller that executes the moves lives in
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -58,6 +61,16 @@ class DiffusivePolicy:
     threshold: float = 0.75
     max_moves_per_tick: int = 2
 
+    def __post_init__(self) -> None:
+        # A zero period would tick on sim.timeout(0) forever: simulated
+        # time never advances and the cell never ends.
+        if self.period_s <= 0:
+            raise ValueError(f"period_s must be > 0, got {self.period_s}")
+        for field in ("neighbor_k", "threshold", "max_moves_per_tick"):
+            value = getattr(self, field)
+            if value < 0:
+                raise ValueError(f"{field} must be >= 0, got {value}")
+
 
 def neighbor_map(
     topology: Topology,
@@ -69,19 +82,29 @@ def neighbor_map(
     Deterministic: ties break on host name.  Hosts unknown to the
     topology raise ``KeyError`` — a neighbor map over phantom hosts is
     a bug upstream, not something to paper over.
+
+    Ranked per site, not per host pair: between two distinct hosts the
+    path RTT is ``lan_rtt_ms`` within a site and the site pair's
+    :meth:`~repro.net.topology.Topology.site_path_metrics` RTT across
+    sites, so every candidate's ``(rtt, name)`` key depends only on the
+    *ranking* host's site.  Each live site ranks the k+1 smallest keys
+    once (S² site lookups instead of H² host pairs); dropping the host
+    itself from its site's list leaves exactly its k smallest, ties
+    still broken on name.
     """
-    hosts = {name: topology.host(name) for name in host_names}
-    out: Dict[str, List[str]] = {}
-    for name in sorted(hosts):
-        ranked: List[Tuple[float, str]] = []
-        for other in sorted(hosts):
-            if other == name:
-                continue
-            pm = topology.path_metrics(hosts[name], hosts[other])
-            ranked.append((pm.rtt_ms, other))
-        ranked.sort()
-        out[name] = [other for _rtt, other in ranked[: max(0, k)]]
-    return out
+    site_of = {name: topology.host(name).site for name in host_names}
+    names = sorted(site_of)
+    sites = sorted(set(site_of.values()))
+    ranked: Dict[str, List[Tuple[float, str]]] = {}
+    for site in sites:
+        rtt = {other: topology.lan_rtt_ms if other == site
+               else topology.site_path_metrics(site, other).rtt_ms
+               for other in sites}
+        ranked[site] = heapq.nsmallest(
+            k + 1, ((rtt[site_of[name]], name) for name in names))
+    return {name: [other for _rtt, other in ranked[site_of[name]]
+                   if other != name][:k]
+            for name in names}
 
 
 def diffusive_moves(

@@ -186,7 +186,12 @@ def migration_spec(
     Axes: arrival rate x per-host failure rate x placement mode.  The
     round constants (demand, horizon, quantum, controller policy, owner
     ``J`` limit) ride in ``meta`` and are part of the content hash.
+    The controller policy is built here once, so a bad knob (say a
+    zero rebalance period) fails at spec build, not inside a cell.
     """
+    policy = DiffusivePolicy(period_s=rebalance_period_s,
+                             neighbor_k=neighbor_k, threshold=threshold,
+                             max_moves_per_tick=max_moves)
     return make_spec(
         name=name,
         axes={"arrival": tuple(arrivals), "fail": tuple(failures),
@@ -197,9 +202,10 @@ def migration_spec(
         meta={"users": users, "n": n, "horizon_s": horizon_s,
               "downtime_s": downtime_s, "work_s": work_s,
               "quantum_s": quantum_s, "j_limit": j_limit,
-              "rebalance_period_s": rebalance_period_s,
-              "neighbor_k": neighbor_k, "threshold": threshold,
-              "max_moves": max_moves},
+              "rebalance_period_s": policy.period_s,
+              "neighbor_k": policy.neighbor_k,
+              "threshold": policy.threshold,
+              "max_moves": policy.max_moves_per_tick},
     )
 
 

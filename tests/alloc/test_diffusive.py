@@ -1,5 +1,7 @@
 """Diffusive rebalancing decision functions (pure, deterministic)."""
 
+import pytest
+
 from repro.alloc import get_strategy
 from repro.alloc.diffusive import (DiffusivePolicy, DiffusiveStrategy,
                                    diffusive_moves, neighbor_map)
@@ -28,6 +30,12 @@ class TestNeighborMap:
         names = [h.name for h in topo.all_hosts()]
         assert all(nbs == [] for nbs in neighbor_map(topo, names, 0).values())
         assert neighbor_map(topo, names, 2) == neighbor_map(topo, names, 2)
+
+    def test_unknown_host_raises_key_error(self):
+        topo = make_small_topology()
+        names = [h.name for h in topo.all_hosts()] + ["ghost.nowhere"]
+        with pytest.raises(KeyError, match="ghost.nowhere"):
+            neighbor_map(topo, names, 3)
 
 
 class TestDiffusiveMoves:
@@ -95,3 +103,15 @@ class TestPolicy:
         assert policy.neighbor_k == 3
         assert policy.threshold == 0.75
         assert policy.max_moves_per_tick == 2
+
+    @pytest.mark.parametrize("field, value", [
+        ("period_s", 0.0), ("period_s", -10.0), ("neighbor_k", -1),
+        ("threshold", -0.5), ("max_moves_per_tick", -1)])
+    def test_rejects_bad_knobs(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            DiffusivePolicy(**{field: value})
+
+    def test_zero_knobs_other_than_period_are_valid(self):
+        policy = DiffusivePolicy(neighbor_k=0, threshold=0.0,
+                                 max_moves_per_tick=0)
+        assert policy.neighbor_k == 0 and policy.max_moves_per_tick == 0

@@ -80,6 +80,15 @@ class TestSpec:
                     "threshold", "max_moves"):
             assert key in spec.meta
 
+    @pytest.mark.parametrize("knob, value", [
+        ("rebalance_period_s", 0.0), ("neighbor_k", -1),
+        ("threshold", -0.1), ("max_moves", -1)])
+    def test_bad_policy_fails_at_spec_build(self, knob, value):
+        """A zero period used to tick on ``timeout(0)`` forever inside
+        a cell; now the spec refuses it before any cell runs."""
+        with pytest.raises(ValueError):
+            migration_spec(**{knob: value})
+
     def test_registered_with_cli(self):
         from repro.experiments import registry
 
