@@ -15,9 +15,9 @@ import os
 import time
 
 from repro.apps import EPBenchmark, ISBenchmark
-from repro.experiments.applications import application_spec, application_sweep
-from repro.experiments.coallocation import coallocation_spec, coallocation_sweep
-from repro.experiments.engine import ResultStore
+from repro.experiments.applications import application_spec
+from repro.experiments.coallocation import coallocation_spec
+from repro.experiments.engine import ResultStore, run_sweep
 
 from benchmarks.conftest import emit, fast_mode
 
@@ -26,19 +26,17 @@ SEED = 42
 
 def campaign_specs():
     return [
-        (coallocation_sweep,
-         coallocation_spec(seed=SEED, strategies=("concentrate",),
-                           name="fig2")),
-        (coallocation_sweep,
-         coallocation_spec(seed=SEED, strategies=("spread",), name="fig3")),
-        (application_sweep, application_spec(EPBenchmark("B"), seed=SEED)),
-        (application_sweep, application_spec(ISBenchmark("B"), seed=SEED)),
+        coallocation_spec(seed=SEED, strategies=("concentrate",),
+                          name="fig2"),
+        coallocation_spec(seed=SEED, strategies=("spread",), name="fig3"),
+        application_spec(EPBenchmark("B"), seed=SEED),
+        application_spec(ISBenchmark("B"), seed=SEED),
     ]
 
 
 def run_campaign(jobs, store):
-    return [run(spec=spec, jobs=jobs, store=store)
-            for run, spec in campaign_specs()]
+    return [run_sweep(spec, jobs=jobs, store=store)
+            for spec in campaign_specs()]
 
 
 def test_bench_engine_parallel(tmp_path, benchmark):
@@ -65,7 +63,7 @@ def test_bench_engine_parallel(tmp_path, benchmark):
     for sweep in serial + parallel:
         assert sweep.executed == sweep.spec.cell_count()
     # Serial and parallel stores are byte-identical per experiment.
-    for _, spec in campaign_specs():
+    for spec in campaign_specs():
         assert (serial_store.path_for(spec).read_bytes()
                 == parallel_store.path_for(spec).read_bytes())
     # The replay came entirely from the store, much faster than a run.

@@ -16,6 +16,8 @@
   narrative checks.
 * :mod:`~repro.experiments.applications` — Figure 4 (EP and IS class B
   execution times per strategy).
+* :mod:`~repro.experiments.openloop` — the open-loop round shared by
+  the churn campaigns: Poisson submitters against sustained churn.
 * :mod:`~repro.experiments.ablations` — design-choice studies: latency
   noise vs. ranking quality, EWMA smoothing, overbooking factor under
   churn, replication survival.
@@ -26,8 +28,9 @@
   and roll a store directory into a campaign-level summary.
 
 The package is import-lazy (PEP 562): ``from repro.experiments import
-coallocation_sweep`` resolves — and pays for — only the owning
-submodule, which is what keeps ``p2pmpirun --help`` fast.
+coallocation_spec`` resolves — and pays for — only the owning
+submodule, which is what keeps ``p2pmpirun --help`` fast.  Every
+campaign runs its spec through :func:`run_sweep` directly.
 """
 
 from __future__ import annotations
@@ -48,13 +51,11 @@ _EXPORTS = {name: module for module, symbols in {
     ),
     "coallocation": (
         "CoallocationPoint", "CoallocationSeries", "coallocation_spec",
-        "coallocation_sweep", "run_coallocation_experiment",
-        "series_from_sweep",
+        "run_coallocation_experiment", "series_from_sweep",
     ),
     "applications": (
         "AppTimePoint", "AppTimeSeries", "app_series_from_sweep",
-        "application_spec", "application_sweep",
-        "run_application_experiment",
+        "application_spec", "run_application_experiment",
     ),
     "ablations": (
         "kendall_tau", "latency_noise_ablation", "overbooking_ablation",
@@ -67,7 +68,7 @@ _EXPORTS = {name: module for module, symbols in {
     ),
     "churnload": (
         "CHURNLOAD_STRATEGIES", "FixedWorkApp", "churnload_report",
-        "churnload_spec", "churnload_sweep", "run_churnload_round",
+        "churnload_spec", "run_churnload_round",
     ),
     "commaware": (
         "ALL_STRATEGIES", "COMMAWARE_STRATEGIES", "CommawareCampaign",
@@ -79,13 +80,12 @@ _EXPORTS = {name: module for module, symbols in {
         "format_site_table", "series_to_csv",
     ),
     "multiuser": (
-        "MultiUserOutcome", "multiuser_spec", "multiuser_sweep",
-        "run_multiuser_experiment",
+        "MultiUserOutcome", "multiuser_spec", "run_multiuser_experiment",
     ),
     "figures": ("ascii_plot",),
     "scaling": (
         "ScalingPoint", "ScalingSeries", "run_scaling_experiment",
-        "scaling_spec", "scaling_sweep",
+        "scaling_spec",
     ),
     "orchestrator": (
         "ExecutionStrategy", "LocalProcessStrategy", "OrchestrationReport",

@@ -21,8 +21,7 @@ from repro.middleware.jobs import JobRequest, JobStatus
 
 __all__ = ["EP_PROCESS_COUNTS", "IS_PROCESS_COUNTS", "AppTimePoint",
            "AppTimeSeries", "application_cell", "application_spec",
-           "application_sweep", "app_series_from_sweep",
-           "run_application_experiment"]
+           "app_series_from_sweep", "run_application_experiment"]
 
 #: Paper x axes.
 EP_PROCESS_COUNTS: Tuple[int, ...] = (32, 64, 128, 256, 512)
@@ -123,21 +122,6 @@ def application_spec(
     )
 
 
-def application_sweep(
-    spec: Optional[ExperimentSpec] = None,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    cluster: Optional[P2PMPICluster] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    **spec_kwargs,
-) -> SweepResult:
-    """Run the panel through the engine; see :class:`SweepRunner`."""
-    spec = spec or application_spec(**spec_kwargs)
-    return run_sweep(spec, jobs=jobs, store=store, force=force,
-                     cluster=cluster, shard=shard)
-
-
 def app_series_from_sweep(sweep: SweepResult) -> Dict[str, AppTimeSeries]:
     """Assemble the legacy per-strategy series from engine cells."""
     out: Dict[str, AppTimeSeries] = {}
@@ -171,8 +155,8 @@ def run_application_experiment(
     """
     spec = application_spec(app=app, process_counts=process_counts,
                             strategies=strategies, seed=seed)
-    sweep = application_sweep(spec=spec, jobs=jobs, store=store, force=force,
-                              cluster=cluster)
+    sweep = run_sweep(spec, jobs=jobs, store=store, force=force,
+                      cluster=cluster)
     return app_series_from_sweep(sweep)
 
 
@@ -195,8 +179,8 @@ def _cli_run_fig4(args, store) -> None:
     panels = {}
     for app in _fig4_apps(args):
         spec = application_spec(app, seed=args.seed)
-        sweep = application_sweep(spec=spec, jobs=args.jobs, store=store,
-                                  force=args.force, shard=args.shard)
+        sweep = run_sweep(spec, jobs=args.jobs, store=store,
+                          force=args.force, shard=args.shard)
         report_sweep(sweep, store)
         panels[app.name] = app_series_from_sweep(sweep)
     if args.shard:

@@ -32,16 +32,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import ClusterSpec, P2PMPICluster
 from repro.experiments.engine import (CellContext, ExperimentSpec,
-                                      ResultStore, SweepResult, make_spec,
-                                      run_sweep)
+                                      SweepResult, make_spec, run_sweep)
 from repro.experiments.multiuser import default_submitters
+from repro.experiments.openloop import run_open_loop
 from repro.experiments.report import format_metric_comparison
 from repro.middleware.jobs import JobRequest
-from repro.overlay.churn import ChurnInjector, SurvivalLedger
+from repro.overlay.churn import SurvivalLedger
 
 __all__ = ["FixedWorkApp", "CHURNLOAD_STRATEGIES", "run_churnload_round",
-           "churnload_cell", "churnload_spec", "churnload_sweep",
-           "churnload_report"]
+           "churnload_cell", "churnload_spec", "churnload_report"]
 
 #: Default strategy roster: the two published strategies plus the
 #: communication-aware one whose shrunken host sets §3.2 worries about.
@@ -81,65 +80,22 @@ def run_churnload_round(
 ) -> SurvivalLedger:
     """One sustained round of competing submitters under churn.
 
-    Each submitter runs an independent Poisson arrival process
-    (``arrival_rate_s`` jobs/s) over ``horizon_s``; since one MPD
-    serialises its own submissions, a job arriving while the previous
-    one is still in flight queues up (backlog) rather than being
-    dropped — the sustained-load behaviour one-shot rounds cannot show.
-    Concurrently, every host that is neither a submitter nor the
-    supernode anchor is subjected to a sustained churn process
-    (``failure_rate_s`` crashes/host/s, fixed ``downtime_s`` repair;
-    ``None`` = crashed hosts stay dead).  Crashes flow through the
-    cluster's ``on_change`` hook — MPD job interrupts, reservation
-    loss, and (on revival) supernode re-registration are all exercised
-    for real.
+    Every arrival submits an ``n``-process, ``r``-replicated job of
+    :class:`FixedWorkApp` (``work_s`` per copy) with ``strategy``; the
+    arrivals, the churn and the sheltered hosts are
+    :func:`~repro.experiments.openloop.run_open_loop`'s, on the
+    ``churnload.*`` random streams.
 
     Returns the round's :class:`SurvivalLedger`.
     """
-    if not cluster._booted:
-        cluster.boot()
-    sim = cluster.sim
-    ledger = SurvivalLedger()
-    cluster.churn.ledger = ledger
-
-    # Submitters and the supernode anchor are sheltered: killing the
-    # bookkeeping endpoints measures protocol breakdown, not the §3.2
-    # worker-failure story this campaign quantifies.
-    protected = set(submitters) | {cluster.supernode_host}
-    victims = sorted(name for name in cluster.mpds if name not in protected)
-    if failure_rate_s > 0.0 and victims:
-        schedule = ChurnInjector.sustained_schedule(
-            victims, failure_rate_s, horizon_s,
-            sim.rng.stream("churnload.failures"), downtime_s=downtime_s)
-        cluster.churn.start(schedule)
-
     app = FixedWorkApp(duration_s=work_s)
-    procs = []
-    for submitter in submitters:
-        mpd = cluster.mpds[submitter]
-        arrivals = sim.rng.stream(f"churnload.arrivals.{submitter}")
-
-        def stream(mpd=mpd, arrivals=arrivals, submitter=submitter):
-            next_arrival = 0.0
-            index = 0
-            while True:
-                next_arrival += float(
-                    arrivals.exponential(1.0 / arrival_rate_s))
-                if next_arrival >= horizon_s:
-                    return index
-                if next_arrival > sim.now:
-                    yield sim.timeout(next_arrival - sim.now)
-                request = JobRequest(n=n, r=r, strategy=strategy, app=app,
-                                     tag=f"{submitter}#{index}")
-                result = yield from mpd.submit_job(request)
-                ledger.record_job(submitter, result)
-                index += 1
-
-        procs.append(sim.process(stream()))
-
-    sim.run_until_complete(sim.all_of(procs))
-    cluster.churn.ledger = None
-    return ledger
+    return run_open_loop(
+        cluster, submitters,
+        lambda tag: JobRequest(n=n, r=r, strategy=strategy, app=app,
+                               tag=tag),
+        stream_prefix="churnload", horizon_s=horizon_s,
+        arrival_rate_s=arrival_rate_s, failure_rate_s=failure_rate_s,
+        downtime_s=downtime_s)
 
 
 def churnload_cell(ctx: CellContext) -> Dict:
@@ -203,33 +159,9 @@ def churnload_spec(
     )
 
 
-def churnload_sweep(
-    spec: Optional[ExperimentSpec] = None,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    shard: Optional[Tuple[int, int]] = None,
-    **spec_kwargs,
-) -> SweepResult:
-    """Run the availability sweep through the engine."""
-    spec = spec or churnload_spec(**spec_kwargs)
-    return run_sweep(spec, jobs=jobs, store=store, force=force, shard=shard)
-
-
 # ----------------------------------------------------------------------
 # reporting
 # ----------------------------------------------------------------------
-def _panel_rows(sweep: SweepResult, strategies: Sequence[str],
-                metric: str, arrival: float, r: int) -> Dict[str, List]:
-    rows: Dict[str, List] = {}
-    for strategy in strategies:
-        rows[strategy] = [
-            cell.value.get(metric)
-            for cell in sweep.select(arrival=arrival, r=r, strategy=strategy)
-        ]
-    return rows
-
-
 def churnload_report(sweep: SweepResult) -> str:
     """Availability matrix + replica-survival-by-strategy tables.
 
@@ -241,7 +173,6 @@ def churnload_report(sweep: SweepResult) -> str:
     arrivals = list(axes["arrival"])
     failures = [f"{v:g}" for v in axes["fail"]]
     replications = list(axes["r"])
-    strategies = list(axes["strategy"])
 
     downtime = spec.meta.get("downtime_s")
     downtime_txt = "never" if downtime is None else f"{downtime:g}s"
@@ -257,18 +188,19 @@ def churnload_report(sweep: SweepResult) -> str:
             parts.append(f"-- arrival={arrival:g} jobs/s/user, r={r} --")
             parts.append(format_metric_comparison(
                 "avail@fail", failures,
-                _panel_rows(sweep, strategies, "availability", arrival, r),
+                sweep.metric_rows("strategy", "availability",
+                                  arrival=arrival, r=r),
                 fmt=".4f"))
             parts.append("")
             parts.append(format_metric_comparison(
                 "survival@fail", failures,
-                _panel_rows(sweep, strategies, "replica_survival",
-                            arrival, r),
+                sweep.metric_rows("strategy", "replica_survival",
+                                  arrival=arrival, r=r),
                 fmt=".4f"))
             parts.append("")
             parts.append(format_metric_comparison(
                 "jobs@fail", failures,
-                _panel_rows(sweep, strategies, "jobs", arrival, r),
+                sweep.metric_rows("strategy", "jobs", arrival=arrival, r=r),
                 fmt="g"))
     return "\n".join(parts)
 
@@ -308,8 +240,8 @@ def _cli_run(args, store) -> None:
     from repro.experiments.cliutil import report_sweep
 
     spec = _cli_spec(args)
-    sweep = churnload_sweep(spec=spec, jobs=args.jobs, store=store,
-                            force=args.force, shard=args.shard)
+    sweep = run_sweep(spec, jobs=args.jobs, store=store, force=args.force,
+                      shard=args.shard)
     if args.shard:
         report_sweep(sweep, store)
         return

@@ -18,8 +18,8 @@ from repro.experiments.engine import (CellContext, ExperimentSpec,
 from repro.middleware.jobs import JobRequest, JobStatus
 
 __all__ = ["PAPER_DEMANDS", "CoallocationPoint", "CoallocationSeries",
-           "coallocation_cell", "coallocation_spec", "coallocation_sweep",
-           "series_from_sweep", "run_coallocation_experiment"]
+           "coallocation_cell", "coallocation_spec", "series_from_sweep",
+           "run_coallocation_experiment"]
 
 #: The paper's x axis: 100..600 step 50.
 PAPER_DEMANDS: Tuple[int, ...] = tuple(range(100, 601, 50))
@@ -137,21 +137,6 @@ def coallocation_spec(
     )
 
 
-def coallocation_sweep(
-    spec: Optional[ExperimentSpec] = None,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    cluster: Optional[P2PMPICluster] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    **spec_kwargs,
-) -> SweepResult:
-    """Run the sweep through the engine; see :class:`SweepRunner`."""
-    spec = spec or coallocation_spec(**spec_kwargs)
-    return run_sweep(spec, jobs=jobs, store=store, force=force,
-                     cluster=cluster, shard=shard)
-
-
 def series_from_sweep(sweep: SweepResult) -> Dict[str, CoallocationSeries]:
     """Assemble the legacy per-strategy series from engine cells."""
     out: Dict[str, CoallocationSeries] = {}
@@ -192,8 +177,8 @@ def run_coallocation_experiment(
     """
     spec = coallocation_spec(seed=seed, demands=demands,
                              strategies=strategies)
-    sweep = coallocation_sweep(spec=spec, jobs=jobs, store=store,
-                               force=force, cluster=cluster)
+    sweep = run_sweep(spec, jobs=jobs, store=store, force=force,
+                      cluster=cluster)
     return series_from_sweep(sweep)
 
 
@@ -241,8 +226,8 @@ def _cli_run_figure(args, store, name: str) -> None:
     from repro.experiments.cliutil import report_sweep
 
     spec = _figure_spec(args, name)
-    sweep = coallocation_sweep(spec=spec, jobs=args.jobs, store=store,
-                               force=args.force, shard=args.shard)
+    sweep = run_sweep(spec, jobs=args.jobs, store=store, force=args.force,
+                      shard=args.shard)
     report_sweep(sweep, store)
     if args.shard:
         return  # a shard's slice cannot fill the report tables
@@ -256,8 +241,8 @@ def _cli_run_combined(args, store) -> None:
     from repro.experiments.report import format_site_table
 
     spec = _figure_spec(args, "coallocation")
-    sweep = coallocation_sweep(spec=spec, jobs=args.jobs, store=store,
-                               force=args.force, shard=args.shard)
+    sweep = run_sweep(spec, jobs=args.jobs, store=store, force=args.force,
+                      shard=args.shard)
     report_sweep(sweep, store)
     if args.shard:
         return

@@ -413,6 +413,15 @@ class SweepResult:
         return [c for c in self.cells
                 if all(c.params.get(k) == v for k, v in params.items())]
 
+    def metric_rows(self, axis: str, metric: str,
+                    **fixed: Any) -> Dict[Any, List[Any]]:
+        """One report row per value of ``axis``, in spec order: the
+        ``metric`` of every cell matching ``fixed`` and that value,
+        grid-ordered, ``None`` where a cell lacks it."""
+        return {v: [c.value.get(metric)
+                    for c in self.select(**fixed, **{axis: v})]
+                for v in dict(self.spec.axes)[axis]}
+
     def summary(self) -> str:
         shard = (f" [shard {self.shard[0]}/{self.shard[1]}]"
                  if self.shard else "")
@@ -932,8 +941,8 @@ def run_sweep(spec: ExperimentSpec, *, jobs: int = 1,
               shard: Optional[Tuple[int, int]] = None,
               progress: Optional[Callable[[CellResult], None]] = None,
               ) -> SweepResult:
-    """One-call façade over :class:`SweepRunner` — the shared body of
-    every driver module's ``*_sweep`` entry point."""
+    """One-call façade over :class:`SweepRunner`: how every driver and
+    CLI entry runs a spec."""
     return SweepRunner(spec, jobs=jobs, store=store, force=force,
                        cluster=cluster, checkpoint_every=checkpoint_every,
                        shard=shard, progress=progress).run()

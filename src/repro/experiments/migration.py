@@ -30,17 +30,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.alloc.diffusive import DiffusivePolicy
 from repro.cluster import ClusterSpec, P2PMPICluster
 from repro.experiments.engine import (CellContext, ExperimentSpec,
-                                      ResultStore, SweepResult, make_spec,
-                                      run_sweep)
+                                      SweepResult, make_spec, run_sweep)
 from repro.experiments.multiuser import default_submitters
+from repro.experiments.openloop import run_open_loop
 from repro.experiments.report import format_metric_comparison
 from repro.ft.migration import DiffusiveBalancer, MigratableWorkApp
 from repro.middleware.config import OwnerPrefs
 from repro.middleware.jobs import JobRequest
-from repro.overlay.churn import ChurnInjector, SurvivalLedger
 
 __all__ = ["MIGRATION_MODES", "run_migration_round", "migration_cell",
-           "migration_spec", "migration_sweep", "migration_report"]
+           "migration_spec", "migration_report"]
 
 #: The two placement regimes the sweep compares.
 MIGRATION_MODES: Tuple[str, ...] = ("static", "diffusive")
@@ -62,12 +61,12 @@ def run_migration_round(
 ):
     """One sustained round of migratable jobs under churn.
 
-    Structured like the churnload round (protected submitters + anchor,
-    per-submitter Poisson streams, sustained churn on the rest), but
-    the submitted application checkpoints every ``quantum_s`` and, in
-    ``diffusive`` mode, a :class:`DiffusiveBalancer` runs beside the
-    round.  Owner prefs are widened to ``j_limit`` applications per
-    host before boot so hosts can adopt migrated copies next to work
+    The churnload round (:func:`~repro.experiments.openloop.run_open_loop`
+    on the ``migration.*`` random streams), but the submitted
+    application checkpoints every ``quantum_s`` and, in ``diffusive``
+    mode, a :class:`DiffusiveBalancer` runs beside the round.  Owner
+    prefs are widened to ``j_limit`` applications per host first, booted
+    cluster or not, so hosts can adopt migrated copies next to work
     they already run.
 
     Returns ``(ledger, balancer)``; ``balancer`` is ``None`` in static
@@ -75,59 +74,27 @@ def run_migration_round(
     """
     if mode not in MIGRATION_MODES:
         raise ValueError(f"unknown migration mode {mode!r}")
-    if not cluster._booted:
-        for name, mpd in cluster.mpds.items():
-            prefs = OwnerPrefs.for_cores(
-                cluster.topology.host(name).cores, j_limit=j_limit)
-            mpd.prefs = prefs
-            mpd.gatekeeper.prefs = prefs
-        cluster.boot()
-    sim = cluster.sim
-    ledger = SurvivalLedger()
-    cluster.churn.ledger = ledger
-
-    protected = set(submitters) | {cluster.supernode_host}
-    victims = sorted(name for name in cluster.mpds if name not in protected)
-    if failure_rate_s > 0.0 and victims:
-        schedule = ChurnInjector.sustained_schedule(
-            victims, failure_rate_s, horizon_s,
-            sim.rng.stream("migration.failures"), downtime_s=downtime_s)
-        cluster.churn.start(schedule)
+    for name, mpd in cluster.mpds.items():
+        prefs = OwnerPrefs.for_cores(
+            cluster.topology.host(name).cores, j_limit=j_limit)
+        mpd.prefs = prefs
+        mpd.gatekeeper.prefs = prefs
 
     balancer: Optional[DiffusiveBalancer] = None
     if mode == "diffusive":
         balancer = DiffusiveBalancer(cluster, policy or DiffusivePolicy())
-        balancer.start()
     strategy = "diffusive" if mode == "diffusive" else "spread"
-
     app = MigratableWorkApp(duration_s=work_s, quantum_s=quantum_s)
-    procs = []
-    for submitter in submitters:
-        mpd = cluster.mpds[submitter]
-        arrivals = sim.rng.stream(f"migration.arrivals.{submitter}")
-
-        def stream(mpd=mpd, arrivals=arrivals, submitter=submitter):
-            next_arrival = 0.0
-            index = 0
-            while True:
-                next_arrival += float(
-                    arrivals.exponential(1.0 / arrival_rate_s))
-                if next_arrival >= horizon_s:
-                    return index
-                if next_arrival > sim.now:
-                    yield sim.timeout(next_arrival - sim.now)
-                request = JobRequest(n=n, r=1, strategy=strategy, app=app,
-                                     tag=f"{submitter}#{index}")
-                result = yield from mpd.submit_job(request)
-                ledger.record_job(submitter, result)
-                index += 1
-
-        procs.append(sim.process(stream()))
-
-    sim.run_until_complete(sim.all_of(procs))
+    ledger = run_open_loop(
+        cluster, submitters,
+        lambda tag: JobRequest(n=n, r=1, strategy=strategy, app=app,
+                               tag=tag),
+        stream_prefix="migration", horizon_s=horizon_s,
+        arrival_rate_s=arrival_rate_s, failure_rate_s=failure_rate_s,
+        downtime_s=downtime_s,
+        beside=None if balancer is None else balancer.start)
     if balancer is not None:
         balancer.stop()
-    cluster.churn.ledger = None
     return ledger, balancer
 
 
@@ -209,31 +176,9 @@ def migration_spec(
     )
 
 
-def migration_sweep(
-    spec: Optional[ExperimentSpec] = None,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    shard: Optional[Tuple[int, int]] = None,
-    **spec_kwargs,
-) -> SweepResult:
-    """Run the migration sweep through the engine."""
-    spec = spec or migration_spec(**spec_kwargs)
-    return run_sweep(spec, jobs=jobs, store=store, force=force, shard=shard)
-
-
 # ----------------------------------------------------------------------
 # reporting
 # ----------------------------------------------------------------------
-def _mode_rows(sweep: SweepResult, modes: Sequence[str], metric: str,
-               arrival: float) -> Dict[str, List]:
-    rows: Dict[str, List] = {}
-    for mode in modes:
-        rows[mode] = [cell.value.get(metric)
-                      for cell in sweep.select(arrival=arrival, mode=mode)]
-    return rows
-
-
 def _cell_value(sweep: SweepResult, arrival: float, fail: float,
                 mode: str) -> Dict:
     cells = sweep.select(arrival=arrival, fail=fail, mode=mode)
@@ -267,20 +212,21 @@ def migration_report(sweep: SweepResult) -> str:
         parts.append(f"-- arrival={arrival:g} jobs/s/user --")
         parts.append(format_metric_comparison(
             "avail@fail", fail_cols,
-            _mode_rows(sweep, modes, "availability", arrival), fmt=".4f"))
+            sweep.metric_rows("mode", "availability", arrival=arrival),
+            fmt=".4f"))
         parts.append("")
         parts.append(format_metric_comparison(
             "completion_s@fail", fail_cols,
-            _mode_rows(sweep, modes, "mean_completion_s", arrival),
+            sweep.metric_rows("mode", "mean_completion_s", arrival=arrival),
             fmt=".2f"))
         parts.append("")
         parts.append(format_metric_comparison(
             "jobs@fail", fail_cols,
-            _mode_rows(sweep, modes, "jobs", arrival), fmt="g"))
+            sweep.metric_rows("mode", "jobs", arrival=arrival), fmt="g"))
         parts.append("")
         parts.append(format_metric_comparison(
             "moves@fail", fail_cols,
-            _mode_rows(sweep, modes, "moves", arrival), fmt="g"))
+            sweep.metric_rows("mode", "moves", arrival=arrival), fmt="g"))
 
     # -- pinned deltas: what mobility bought -----------------------------
     if "static" in modes and "diffusive" in modes:
@@ -354,8 +300,8 @@ def _cli_run(args, store) -> None:
     from repro.experiments.cliutil import report_sweep
 
     spec = _cli_spec(args)
-    sweep = migration_sweep(spec=spec, jobs=args.jobs, store=store,
-                            force=args.force, shard=args.shard)
+    sweep = run_sweep(spec, jobs=args.jobs, store=store, force=args.force,
+                      shard=args.shard)
     if args.shard:
         report_sweep(sweep, store)
         return

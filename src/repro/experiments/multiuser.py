@@ -15,12 +15,11 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cluster import ClusterSpec, P2PMPICluster
 from repro.experiments.engine import (CellContext, ExperimentSpec,
-                                      ResultStore, SweepResult, make_spec,
-                                      run_sweep)
+                                      make_spec, run_sweep)
 from repro.middleware.jobs import JobRequest, JobResult
 
 __all__ = ["MultiUserOutcome", "run_multiuser_experiment",
-           "multiuser_cell", "multiuser_spec", "multiuser_sweep"]
+           "multiuser_cell", "multiuser_spec"]
 
 
 @dataclass
@@ -87,8 +86,7 @@ def run_multiuser_experiment(
     wire, which is precisely the race the hash keys and gatekeeper
     serialise.
     """
-    if not cluster._booted:
-        cluster.boot()
+    cluster.boot()
     if requests is None:
         requests = [JobRequest(n=n, strategy=strategy, tag=f"user-{i}")
                     for i in range(len(submitters))]
@@ -183,19 +181,6 @@ def multiuser_spec(
     )
 
 
-def multiuser_sweep(
-    spec: Optional[ExperimentSpec] = None,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    shard: Optional[Tuple[int, int]] = None,
-    **spec_kwargs,
-) -> SweepResult:
-    """Run the contention sweep through the engine."""
-    spec = spec or multiuser_spec(**spec_kwargs)
-    return run_sweep(spec, jobs=jobs, store=store, force=force, shard=shard)
-
-
 # ----------------------------------------------------------------------
 # CLI registration (multiuser)
 # ----------------------------------------------------------------------
@@ -207,8 +192,8 @@ def _cli_run(args, store) -> None:
     from repro.experiments.cliutil import report_sweep
 
     spec = multiuser_spec(seed=args.seed)
-    sweep = multiuser_sweep(spec=spec, jobs=args.jobs, store=store,
-                            force=args.force, shard=args.shard)
+    sweep = run_sweep(spec, jobs=args.jobs, store=store, force=args.force,
+                      shard=args.shard)
     report_sweep(sweep, store)
     if args.shard:
         return

@@ -2,7 +2,8 @@
 
 Where :mod:`repro.experiments.multiuser` checks the gatekeeper's
 *invariants* (few submitters, one concurrent round inside the DES) and
-:mod:`repro.experiments.churnload` replays a precomputed Poisson tape,
+:mod:`repro.experiments.churnload` feeds a few DES submitters through
+:mod:`repro.experiments.openloop`,
 ``multiuser2`` runs *genuinely concurrent* submitters: every tenant is
 an asyncio task on the virtual-time loop of
 :mod:`repro.middleware.controlplane`, racing its RESERVE walk against
@@ -22,13 +23,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import ClusterSpec
 from repro.experiments.engine import (CellContext, ExperimentSpec,
-                                      ResultStore, SweepResult, make_spec,
-                                      run_sweep)
+                                      SweepResult, make_spec, run_sweep)
 from repro.experiments.report import format_metric_comparison
 from repro.middleware.controlplane import run_multi_tenant
 
-__all__ = ["multiuser2_cell", "multiuser2_spec", "multiuser2_sweep",
-           "multiuser2_report"]
+__all__ = ["multiuser2_cell", "multiuser2_spec", "multiuser2_report"]
 
 DEFAULT_TENANTS: Tuple[int, ...] = (10, 50, 200)
 DEFAULT_RATES: Tuple[float, ...] = (0.01, 0.05)
@@ -81,33 +80,9 @@ def multiuser2_spec(
     )
 
 
-def multiuser2_sweep(
-    spec: Optional[ExperimentSpec] = None,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    shard: Optional[Tuple[int, int]] = None,
-    **spec_kwargs,
-) -> SweepResult:
-    """Run the fairness sweep through the engine."""
-    spec = spec or multiuser2_spec(**spec_kwargs)
-    return run_sweep(spec, jobs=jobs, store=store, force=force, shard=shard)
-
-
 # ----------------------------------------------------------------------
 # reporting
 # ----------------------------------------------------------------------
-def _panel_rows(sweep: SweepResult, strategies: Sequence[str],
-                metric: str, rate: float) -> Dict[str, List]:
-    rows: Dict[str, List] = {}
-    for strategy in strategies:
-        rows[strategy] = [
-            cell.value.get(metric)
-            for cell in sweep.select(rate=rate, strategy=strategy)
-        ]
-    return rows
-
-
 def multiuser2_report(sweep: SweepResult) -> str:
     """Fairness ledger tables, deterministic byte for byte.
 
@@ -134,22 +109,22 @@ def multiuser2_report(sweep: SweepResult) -> str:
         parts.append(f"-- arrival rate {rate:g} jobs/s/tenant --")
         parts.append(format_metric_comparison(
             "saturation@tenants", tenants,
-            _panel_rows(sweep, strategies, "saturation", rate),
+            sweep.metric_rows("strategy", "saturation", rate=rate),
             fmt=".4f"))
         parts.append("")
         parts.append(format_metric_comparison(
             "slowdown-spread@tenants", tenants,
-            _panel_rows(sweep, strategies, "tenant_slowdown_spread", rate),
+            sweep.metric_rows("strategy", "tenant_slowdown_spread", rate=rate),
             fmt=".4f"))
         parts.append("")
         parts.append(format_metric_comparison(
             "slowdown-mean@tenants", tenants,
-            _panel_rows(sweep, strategies, "slowdown_mean", rate),
+            sweep.metric_rows("strategy", "slowdown_mean", rate=rate),
             fmt=".4f"))
         parts.append("")
         parts.append(format_metric_comparison(
             "admit-p95-ms@tenants", tenants,
-            _panel_rows(sweep, strategies, "admit_p95_ms", rate),
+            sweep.metric_rows("strategy", "admit_p95_ms", rate=rate),
             fmt=".3f"))
     if "spread" in strategies and "bandwidth_spread" in strategies:
         rate, count = max(rates), max(tenants)
@@ -194,8 +169,8 @@ def _cli_run(args, store) -> None:
     from repro.experiments.cliutil import report_sweep
 
     spec = _cli_spec(args)
-    sweep = multiuser2_sweep(spec=spec, jobs=args.jobs, store=store,
-                             force=args.force, shard=args.shard)
+    sweep = run_sweep(spec, jobs=args.jobs, store=store, force=args.force,
+                      shard=args.shard)
     if args.shard:
         report_sweep(sweep, store)
         return

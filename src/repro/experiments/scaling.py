@@ -11,7 +11,7 @@ driver measures the simulated booking/launch milestones of
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional
 
 from repro.cluster import ClusterSpec, P2PMPICluster
 from repro.experiments.engine import (CellContext, ExperimentSpec,
@@ -20,8 +20,7 @@ from repro.experiments.engine import (CellContext, ExperimentSpec,
 from repro.middleware.jobs import JobRequest
 
 __all__ = ["ScalingPoint", "ScalingSeries", "scaling_cell", "scaling_spec",
-           "scaling_sweep", "scaling_series_from_sweep",
-           "run_scaling_experiment"]
+           "scaling_series_from_sweep", "run_scaling_experiment"]
 
 
 @dataclass
@@ -88,21 +87,6 @@ def scaling_spec(
     )
 
 
-def scaling_sweep(
-    spec: Optional[ExperimentSpec] = None,
-    jobs: int = 1,
-    store: Optional[ResultStore] = None,
-    force: bool = False,
-    cluster: Optional[P2PMPICluster] = None,
-    shard: Optional[Tuple[int, int]] = None,
-    **spec_kwargs,
-) -> SweepResult:
-    """Run the sweep through the engine; see :class:`SweepRunner`."""
-    spec = spec or scaling_spec(**spec_kwargs)
-    return run_sweep(spec, jobs=jobs, store=store, force=force,
-                     cluster=cluster, shard=shard)
-
-
 def scaling_series_from_sweep(sweep: SweepResult) -> ScalingSeries:
     """Assemble the legacy series from engine cells."""
     strategy = sweep.spec.meta["strategy"]
@@ -130,8 +114,8 @@ def run_scaling_experiment(
 ) -> ScalingSeries:
     """Measure co-allocation latency over a demand sweep."""
     spec = scaling_spec(demands=demands, strategy=strategy, seed=seed)
-    sweep = scaling_sweep(spec=spec, jobs=jobs, store=store, force=force,
-                          cluster=cluster)
+    sweep = run_sweep(spec, jobs=jobs, store=store, force=force,
+                      cluster=cluster)
     return scaling_series_from_sweep(sweep)
 
 
@@ -157,8 +141,8 @@ def _cli_run(args, store) -> None:
     from repro.experiments.cliutil import report_sweep
 
     spec = scaling_spec(seed=args.seed, strategy=_cli_strategy(args))
-    sweep = scaling_sweep(spec=spec, jobs=args.jobs, store=store,
-                          force=args.force, shard=args.shard)
+    sweep = run_sweep(spec, jobs=args.jobs, store=store, force=args.force,
+                      shard=args.shard)
     report_sweep(sweep, store)
     if args.shard:
         return

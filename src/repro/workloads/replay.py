@@ -74,8 +74,7 @@ def replay_stream(cluster: P2PMPICluster,
     queue behind each other while different submitters race freely —
     the contention the gatekeeper and retry machinery must absorb.
     """
-    if not cluster._booted:
-        cluster.boot()
+    cluster.boot()
     sim = cluster.sim
     locks: Dict[str, Resource] = {}
     stats = ReplayStats()

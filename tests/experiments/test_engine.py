@@ -489,6 +489,21 @@ class TestRunnerModes:
         with pytest.raises(KeyError):
             result.value(b=3)  # ambiguous
 
+    def test_metric_rows(self):
+        spec = make_spec("t", {"a": (2, 1), "b": (3, 4), "c": (5,)},
+                         probe_cell, master_seed=4)
+        result = SweepRunner(spec).run()
+        rows = result.metric_rows("a", "seed", c=5)
+        assert list(rows) == [2, 1]  # spec order, not sorted
+        assert rows[2] == [derive_cell_seed(4, "a=2,b=3,c=5"),
+                           derive_cell_seed(4, "a=2,b=4,c=5")]
+        assert result.metric_rows("b", "seed", a=1) == {
+            3: [derive_cell_seed(4, "a=1,b=3,c=5")],
+            4: [derive_cell_seed(4, "a=1,b=4,c=5")]}
+        assert result.metric_rows("a", "missing") == {2: [None, None],
+                                                      1: [None, None]}
+        assert result.metric_rows("a", "seed", b=99) == {2: [], 1: []}
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_sweep_reclaims_each_cells_garbage(self, jobs):
         _CYCLES.clear()

@@ -5,9 +5,8 @@ import pytest
 from repro.cli import build_run_parser, main
 from repro.cluster import ClusterSpec
 from repro.experiments import registry
-from repro.experiments.engine import ResultStore
-from repro.experiments.multiuser2 import (multiuser2_report, multiuser2_spec,
-                                          multiuser2_sweep)
+from repro.experiments.engine import ResultStore, run_sweep
+from repro.experiments.multiuser2 import multiuser2_report, multiuser2_spec
 from repro.experiments.orchestrator import worker_flags
 
 
@@ -41,17 +40,17 @@ class TestSpec:
 
 class TestSweepDeterminism:
     def test_serial_and_pool_runs_are_byte_identical(self, tmp_path):
-        serial = multiuser2_sweep(spec=tiny_spec(), jobs=1)
+        serial = run_sweep(tiny_spec(), jobs=1)
         store = ResultStore(tmp_path)
-        pooled = multiuser2_sweep(spec=tiny_spec(), jobs=2, store=store)
+        pooled = run_sweep(tiny_spec(), jobs=2, store=store)
         assert ([c.value for c in serial.cells]
                 == [c.value for c in pooled.cells])
         assert multiuser2_report(serial) == multiuser2_report(pooled)
 
     def test_cached_replay_is_identical(self, tmp_path):
         store = ResultStore(tmp_path)
-        first = multiuser2_sweep(spec=tiny_spec(), store=store)
-        replay = multiuser2_sweep(spec=tiny_spec(), store=store)
+        first = run_sweep(tiny_spec(), store=store)
+        replay = run_sweep(tiny_spec(), store=store)
         assert replay.executed == 0
         assert replay.cached == first.spec.cell_count()
         assert multiuser2_report(first) == multiuser2_report(replay)
@@ -64,7 +63,7 @@ class TestFairnessGap:
 
     @pytest.fixture(scope="class")
     def loaded_sweep(self):
-        return multiuser2_sweep(spec=multiuser2_spec(
+        return run_sweep(multiuser2_spec(
             tenants=(50,), rates=(0.02,),
             cluster_spec=ClusterSpec(kind="small"), seed=42))
 

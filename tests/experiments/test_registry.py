@@ -76,6 +76,28 @@ class TestLaziness:
         subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
+class TestExports:
+    """A name deleted from a driver must leave the lazy export table too."""
+
+    def test_package_exports_resolve(self):
+        import repro.experiments as experiments
+
+        for name in experiments.__all__:
+            assert getattr(experiments, name) is not None, name
+
+    def test_module_all_names_exist(self):
+        import importlib
+        import pkgutil
+
+        import repro.experiments as experiments
+
+        for info in pkgutil.iter_modules(experiments.__path__):
+            module = importlib.import_module(
+                f"repro.experiments.{info.name}")
+            for name in getattr(module, "__all__", ()):
+                assert hasattr(module, name), f"{info.name}.{name}"
+
+
 class TestGet:
     def test_roundtrip_registers_driver(self):
         experiment = registry.get("coallocation")

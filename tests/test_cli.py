@@ -294,13 +294,13 @@ class TestJobsFlag:
         import repro.experiments.coallocation as coallocation_mod
 
         seen = {}
-        real = coallocation_mod.coallocation_sweep
+        real = coallocation_mod.run_sweep
 
         def spy(*args, **kwargs):
             seen["jobs"] = kwargs.get("jobs")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(coallocation_mod, "coallocation_sweep", spy)
+        monkeypatch.setattr(coallocation_mod, "run_sweep", spy)
         monkeypatch.setattr("os.cpu_count", lambda: 3)
         assert main(["run", "coallocation", "--cluster", "small",
                      "--demands", "4", "--jobs", "0"]) == 0
