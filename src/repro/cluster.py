@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import (Callable, Dict, Generator, List, Mapping, Optional,
+from typing import (Callable, Dict, List, Mapping, Optional,
                     Sequence, Tuple)
 
 from repro.apps.base import AppEnv
@@ -175,16 +175,14 @@ class P2PMPICluster:
     # lifecycle
     # ------------------------------------------------------------------
     def boot(self, stagger_s: float = 0.0005) -> "P2PMPICluster":
-        """``mpiboot`` every host; returns self when the overlay is up."""
+        """``mpiboot`` every host; returns self when the overlay is up.
+
+        Host ``i`` starts ``i * stagger_s`` after the call.
+        """
         if self._booted:
             return self
-
-        def staggered(mpd: MPD, delay: float) -> Generator:
-            yield self.sim.timeout(delay)
-            yield from mpd.boot()
-
         procs = [
-            self.sim.process(staggered(mpd, i * stagger_s))
+            self.sim.process(mpd.boot(), delay=i * stagger_s)
             for i, mpd in enumerate(self.mpds.values())
         ]
         self.sim.run_until_complete(self.sim.all_of(procs))

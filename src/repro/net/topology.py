@@ -286,6 +286,9 @@ class Topology:
                 self._links[link.key] = link
             #: site -> {site -> PathMetrics}, filled lazily per source.
             self._route_memo: Dict[str, Dict[str, PathMetrics]] = {}
+        #: (site, site) -> PathMetrics of a flat inter-site pair, both
+        #: orders, filled lazily (stays empty in routed mode).
+        self._flat_memo: Dict[Tuple[str, str], PathMetrics] = {}
 
         self.graph = self._build_graph()
         if self.routed:
@@ -378,8 +381,13 @@ class Topology:
 
         Flat mode answers from the configured site-pair tables (a
         one-hop route over the pair's own private link); routed mode
-        from the shortest-RTT multi-hop route.
+        from the shortest-RTT multi-hop route.  Flat answers are
+        memoized per site pair, as routed ones are per source; a pair
+        without an RTT is never memoized, so it raises on every call.
         """
+        metrics = self._flat_memo.get((a, b))
+        if metrics is not None:
+            return metrics
         self._check_site(a), self._check_site(b)
         if a == b:
             return PathMetrics(rtt_ms=self.lan_rtt_ms,
@@ -393,10 +401,12 @@ class Topology:
         rtt = self._rtt.get(key)
         if rtt is None:
             raise KeyError(f"no RTT defined between {a} and {b}")
-        return PathMetrics(
+        metrics = PathMetrics(
             rtt_ms=rtt,
             bandwidth_bps=self._bw.get(key, self.default_wan_bw_bps),
             links=(key,))
+        self._flat_memo[(a, b)] = self._flat_memo[(b, a)] = metrics
+        return metrics
 
     def path_metrics(self, a: Host, b: Host) -> PathMetrics:
         """Host-level path facade (same-host/same-site short paths)."""

@@ -262,7 +262,7 @@ class Network:
             self.messages_delivered += 1
             box.deliver(msg)
 
-        evt = self.sim.event(name=f"deliver:{msg.msg_id}")
+        evt = self.sim.event()
         evt.callbacks.append(_deliver)
         evt.succeed(delay=delay)
         return msg

@@ -9,7 +9,7 @@ latency (§4.2 step 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Mapping, Optional, Set
 
 from repro.net.latency import LatencyEstimate
 from repro.net.topology import Host
@@ -77,16 +77,19 @@ class PeerCache:
             self._revive(name)
         return self._entry(name)
 
-    def merge(self, hosts: Iterable[Host]) -> int:
-        """Add many peers; returns the number of new entries."""
+    def merge_peers(self, peers: Mapping[str, Host]) -> int:
+        """Merge a supernode reply, an ordered ``name -> Host`` map;
+        returns the number of new members.
+
+        Dead members named in the reply revive; existing members keep
+        their place and new ones append in the reply's order.
+        """
         members, dead = self._hosts, self._dead
-        before = len(members)
-        for host in hosts:
-            name = host.name
-            if name not in members:
-                members[name] = host
-            elif name in dead:
+        if dead:
+            for name in peers.keys() & dead:
                 self._revive(name)
+        before = len(members)
+        members.update(peers)
         return len(members) - before
 
     def set_latency(self, host_name: str, estimate: LatencyEstimate,

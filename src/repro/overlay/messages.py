@@ -3,9 +3,15 @@
 Message *kinds* (string tags on :class:`repro.net.transport.Message`):
 
 Supernode protocol (port ``supernode``):
-    ``REGISTER`` -> ``REGISTER_ACK`` (payload: peer list)
+    ``REGISTER`` -> ``REGISTER_ACK`` (payload ``peers``: the host list)
     ``ALIVE`` (periodic heartbeat)
-    ``GET_PEERS`` -> ``PEERS``
+    ``GET_PEERS`` -> ``PEERS`` (payload ``peers``: the host list)
+    ``REPORT_DEAD`` (payload ``peers``: a list of names)
+
+    The host list in ``REGISTER_ACK`` and ``PEERS`` is an ordered
+    ``name -> Host`` map, in registration order, and a fresh copy per
+    reply that the receiver may edit.  Its wire size is
+    ``SIZE_CONTROL`` plus ``SIZE_PEERLIST_ENTRY`` per entry.
 
 Reservation protocol (port ``rs``), §4.2 steps 3-5:
     ``RESERVE`` -> ``RESERVE_OK`` (payload: P) | ``RESERVE_NOK``

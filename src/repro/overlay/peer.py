@@ -13,7 +13,7 @@ The job-coordination half (reservation, allocation, launch) lives in
 
 from __future__ import annotations
 
-from typing import Generator, List, Optional
+from typing import Dict, Generator, List, Optional
 
 from repro.net.latency import LatencyModel
 from repro.net.ping import PingService
@@ -120,7 +120,7 @@ class PeerDaemon:
             size_bytes=SIZE_CONTROL,
         )
         msg = yield self.network.receive(self.host.name, reply_port, "REGISTER_ACK")
-        self._merge_names(msg.payload["peers"])
+        self._merge_reply(msg.payload["peers"])
         self.joined = True
 
     def _alive_loop(self, generation: int) -> Generator:
@@ -137,9 +137,11 @@ class PeerDaemon:
             )
 
     # -- cache maintenance -----------------------------------------------------
-    def _merge_names(self, names: List[str]) -> int:
-        hosts = [self.topology.host(n) for n in names if n != self.host.name]
-        return self.cache.merge(hosts)
+    def _merge_reply(self, peers: Dict[str, Host]) -> int:
+        """Seed the cache from a supernode reply (a fresh copy, so it is
+        ours to edit) minus this host itself."""
+        peers.pop(self.host.name, None)
+        return self.cache.merge_peers(peers)
 
     def refresh_cache(self) -> Generator:
         """Ask the supernode for recently registered peers (§4.2 step 2)."""
@@ -150,7 +152,7 @@ class PeerDaemon:
             size_bytes=SIZE_CONTROL,
         )
         msg = yield self.network.receive(self.host.name, reply_port, "PEERS")
-        return self._merge_names(msg.payload["peers"])
+        return self._merge_reply(msg.payload["peers"])
 
     def measure_latencies(self, only_unmeasured: bool = True) -> int:
         """Estimate RTT to cached peers (analytic fast path).

@@ -3,14 +3,18 @@
 The supernode maintains the *host list*: "Each list element simply is
 the host IP and its services ports plus a 'last seen' time stamp."
 Peers register on boot and send periodic alive signals; stale peers are
-pruned lazily whenever the list is read.
+pruned lazily whenever the list is read.  A reply hands the host list
+over as a copy of a registration-ordered ``name -> Host`` map, so a peer
+seeds its cache without one topology lookup per name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, Generator, List
 
+from repro.net.topology import Host
 from repro.net.transport import Message, Network
 from repro.overlay.messages import (
     SIZE_CONTROL,
@@ -59,6 +63,11 @@ class Supernode:
         self.host_name = host_name
         self.stale_after_s = stale_after_s
         self.records: Dict[str, PeerRecord] = {}
+        #: ``name -> Host`` for a prefix of ``records``, in the same
+        #: order.  :meth:`_touch` stays network-free and only appends to
+        #: ``records``; :meth:`peer_list` resolves the new tail, while
+        #: :meth:`prune` and :meth:`drop` delete from both.
+        self._members: Dict[str, Host] = {}
         #: A lower bound on every record's ``last_seen``, set by each
         #: :meth:`prune` scan; it stays one because simulated time only
         #: grows, so later records and touches are newer.
@@ -99,18 +108,26 @@ class Supernode:
         ]
         for name in dead:
             del self.records[name]
+            self._members.pop(name, None)
         self._oldest_seen = min(
             (rec.last_seen for rec in self.records.values()), default=now)
         return dead
 
-    def peer_list(self, now: float) -> List[str]:
-        """Current live host list, registration-order deterministic."""
+    def peer_list(self, now: float) -> Dict[str, Host]:
+        """Current live host list as a fresh ``name -> Host`` map in
+        registration order; the caller may mutate it."""
         self.prune(now)
-        return list(self.records)
+        members, records = self._members, self.records
+        if len(members) < len(records):
+            hosts = self.network.topology.hosts
+            for name in islice(records, len(members), None):
+                members[name] = hosts[name]
+        return dict(members)
 
     def drop(self, peer: str) -> None:
         """Explicitly remove a peer (used when an MPD reports a death)."""
         self.records.pop(peer, None)
+        self._members.pop(peer, None)
 
     # -- service process -------------------------------------------------------
     def service(self) -> Generator:

@@ -120,11 +120,12 @@ class Simulator:
 
         return Timeout(self, delay, value=value)
 
-    def process(self, generator: Generator):
-        """Start a new :class:`~repro.sim.process.Process` immediately."""
+    def process(self, generator: Generator, delay: float = 0.0):
+        """Start a new :class:`~repro.sim.process.Process` ``delay`` from
+        now (immediately by default)."""
         from repro.sim.process import Process
 
-        return Process(self, generator)
+        return Process(self, generator, delay=delay)
 
     def any_of(self, events: Iterable):
         from repro.sim.events import AnyOf

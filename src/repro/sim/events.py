@@ -11,7 +11,7 @@ the event's exception).
 
 from __future__ import annotations
 
-from typing import Any, List, Optional
+from typing import Any, List, Optional, Set
 
 from repro.sim.core import NORMAL, SimulationError, Simulator
 
@@ -100,8 +100,9 @@ class Event:
         """Register ``callback(event)``; runs immediately via the queue if
         the event is already processed."""
         if self.callbacks is None:
-            # Already processed: deliver on a fresh urgent event so the
-            # callback still runs from inside the event loop.
+            # Already processed: deliver on a fresh NORMAL-priority
+            # event so the callback still runs from inside the event
+            # loop, after whatever is already due now.
             proxy = Event(self.sim, name=f"replay:{self.name}")
             proxy.callbacks.append(lambda _e: callback(self))
             proxy._ok = True
@@ -129,7 +130,7 @@ class Timeout(Event):
 
     def __init__(self, sim: Simulator, delay: float, value: Any = None,
                  name: Optional[str] = None) -> None:
-        super().__init__(sim, name=name or f"timeout({delay:g})")
+        super().__init__(sim, name=name)
         self.delay = delay
         self.succeed(value=value, delay=delay)
 
@@ -148,7 +149,7 @@ class Condition(Event):
         self._evaluate = evaluate
         self._events = events
         self._done = 0
-        self._completed: List[Event] = []
+        self._completed: Set[Event] = set()
         for event in events:
             if event.sim is not sim:
                 raise SimulationError("condition spans multiple simulators")
@@ -174,7 +175,7 @@ class Condition(Event):
             event.defused = True
             self.fail(event._value)
             return
-        self._completed.append(event)
+        self._completed.add(event)
         self._done += 1
         if self._evaluate(self._events, self._done):
             self.succeed(self._collect())

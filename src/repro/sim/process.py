@@ -49,21 +49,25 @@ class Process(Event):
         The generator to drive.  It is started at the next event-loop
         iteration (not synchronously), so a process body observes a
         fully constructed ``Process`` object.
+    delay:
+        Start the body this long from now instead.  The start is still
+        an URGENT event, so it runs ahead of NORMAL events due at the
+        same instant.
     """
 
     def __init__(self, sim: Simulator, generator: Generator,
-                 name: Optional[str] = None) -> None:
+                 name: Optional[str] = None, delay: float = 0.0) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"process body must be a generator, got {generator!r}")
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
         self._target: Optional[Event] = None
         # Bootstrap: resume once with a successful initial event.
-        boot = Event(sim, name=f"init:{self.name}")
+        boot = Event(sim)
         boot.callbacks.append(self._resume)
         boot._ok = True
         boot._value = None
-        sim.schedule(boot, priority=URGENT)
+        sim.schedule(boot, delay=delay, priority=URGENT)
 
     # -- state -----------------------------------------------------------
     @property
@@ -135,13 +139,9 @@ class Process(Event):
             self.fail(SimulationError(
                 f"process {self.name!r} yielded non-event {target!r}"))
             return
-        if target.processed:
-            # Already processed: schedule an immediate replay.
-            target.add_callback(self._resume)
-            self._target = target
-        else:
-            target.add_callback(self._resume)
-            self._target = target
+        # An already-processed target replays through add_callback.
+        target.add_callback(self._resume)
+        self._target = target
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.triggered else "alive"

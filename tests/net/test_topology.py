@@ -78,6 +78,19 @@ class TestTopology:
         a, b = topo.host("c1-1.s1"), topo.host("c2-1.s2")
         with pytest.raises(KeyError):
             topo.base_rtt_ms(a, b)
+        for _ in range(2):  # a miss is never memoized
+            with pytest.raises(KeyError):
+                topo.site_path_metrics("s2", "s1")
+
+    def test_flat_site_path_metrics_is_symmetric(self, small_topology):
+        for a, b in [("alpha", "beta"), ("gamma", "beta"),
+                     ("alpha", "gamma")]:
+            for _ in range(2):  # fresh, then memoized
+                ab = small_topology.site_path_metrics(a, b)
+                ba = small_topology.site_path_metrics(b, a)
+                assert ab == ba
+                assert ab.links == (tuple(sorted((a, b))),)
+                assert ab.rtt_ms == small_topology.site_rtt_ms(a, b)
 
     def test_bandwidth_lan_bounds_wan(self, small_topology):
         a = small_topology.host("a1-1.alpha")

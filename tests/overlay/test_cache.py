@@ -29,9 +29,9 @@ class TestCache:
         assert len(cache) == 1
 
     def test_merge_counts_new_only(self, topo, cache):
-        hosts = topo.all_hosts()[:5]
-        assert cache.merge(hosts) == 5
-        assert cache.merge(hosts) == 0
+        peers = {h.name: h for h in topo.all_hosts()[:5]}
+        assert cache.merge_peers(peers) == 5
+        assert cache.merge_peers(peers) == 0
 
     def test_set_latency(self, topo, cache):
         host = topo.host("b1-1.beta")

@@ -1,13 +1,17 @@
-"""Seeded equivalence of the membership-only PeerCache against an eager
-reference that builds one entry per member up front."""
+"""Seeded equivalence of the membership-only PeerCache against two
+references: an eager cache that builds one entry per member up front,
+and the per-name merge loop that seeded the cache from a list of names
+before supernode replies carried ``Host`` maps."""
 
 import random
+from types import SimpleNamespace
 from typing import Dict, List, Optional
 
 import pytest
 
 from repro.net.latency import LatencyEstimate
 from repro.overlay.cache import CacheEntry, PeerCache
+from repro.overlay.peer import PeerDaemon
 from tests.conftest import make_small_topology
 
 
@@ -98,7 +102,8 @@ def step(rng: random.Random, hosts, lazy: PeerCache, eager: EagerCache,
     elif op == "merge":
         batch = rng.sample(hosts, rng.randint(0, len(hosts)))
         batch += rng.sample(batch, min(len(batch), rng.randint(0, 2)))
-        assert lazy.merge(iter(batch)) == eager.merge(batch)
+        peers = {h.name: h for h in batch}
+        assert lazy.merge_peers(peers) == eager.merge(batch)
     elif op == "mark_dead":
         lazy.mark_dead(name)
         eager.mark_dead(name)
@@ -163,5 +168,59 @@ def test_matches_eager_reference_without_intermediate_queries(seed):
 def test_boot_merge_creates_no_entries():
     hosts = make_small_topology().all_hosts()
     cache = PeerCache(owner="o")
-    assert cache.merge(hosts + hosts[:2]) == len(hosts)
+    assert cache.merge_peers({h.name: h for h in hosts + hosts[:2]}) \
+        == len(hosts)
     assert len(cache) == len(hosts) and cache._entries == {}
+
+
+class NameLoopCache(PeerCache):
+    """Reference: the per-name merge of a reply listing names, which
+    dropped the owner and looked each name up in the topology."""
+
+    def merge_names(self, names, topology) -> int:
+        members, dead = self._hosts, self._dead
+        before = len(members)
+        for name in names:
+            if name == self.owner:
+                continue
+            host = topology.host(name)
+            if name not in members:
+                members[name] = host
+            elif name in dead:
+                self._revive(name)
+        return len(members) - before
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reply_merge_matches_the_per_name_loop(seed):
+    """Replies (with the owner's own name and duplicate names), deaths,
+    drops, single adds and revivals: the map merge keeps the loop's
+    order and counts after every step."""
+    rng = random.Random(2000 + seed)
+    topo = make_small_topology()
+    hosts = topo.all_hosts()
+    owner = hosts[0]
+    new, old = PeerCache(owner=owner.name), NameLoopCache(owner=owner.name)
+    daemon = SimpleNamespace(host=owner, cache=new)
+    for _ in range(200):
+        op = rng.choice(["reply", "reply", "reply", "mark_dead",
+                         "drop_dead", "add"])
+        if op == "reply":
+            names = [h.name for h in rng.choices(hosts, k=rng.randint(0, 14))]
+            if rng.random() < 0.5:
+                names.insert(rng.randint(0, len(names)), owner.name)
+            reply = {name: topo.host(name) for name in names}
+            assert PeerDaemon._merge_reply(daemon, reply) == \
+                old.merge_names(names, topo)
+        elif op == "mark_dead":
+            name = rng.choice(hosts).name
+            new.mark_dead(name)
+            old.mark_dead(name)
+        elif op == "drop_dead":
+            assert new.drop_dead() == old.drop_dead()
+        else:
+            host = rng.choice(hosts)
+            assert new.add(host).host is old.add(host).host
+        assert [h.name for h in new.hosts()] == [h.name for h in old.hosts()]
+        assert len(new) == len(old)
+        assert new._dead == old._dead

@@ -37,7 +37,8 @@ class TestRegistration:
     def test_register_returns_peerlist_including_self(self, env):
         sim, topo, net, sn = env
         payload = rpc(sim, net, "b1-1.beta", "REGISTER", "REGISTER_ACK")
-        assert payload["peers"] == ["b1-1.beta"]
+        assert list(payload["peers"]) == ["b1-1.beta"]
+        assert payload["peers"]["b1-1.beta"] is topo.host("b1-1.beta")
         assert sn.registrations == 1
 
     def test_second_peer_sees_first(self, env):
@@ -77,7 +78,7 @@ class TestStaleness:
             yield sim.timeout(200.0)  # beyond stale_after_s=100
 
         sim.run_until_complete(sim.process(later()))
-        assert sn.peer_list(sim.now) == []
+        assert list(sn.peer_list(sim.now)) == []
 
     def test_prune_matches_a_full_scan_at_every_step(self):
         """prune may skip its scan while no record can be stale; a
@@ -103,7 +104,9 @@ class TestStaleness:
     def test_fresh_peer_kept(self, env):
         sim, topo, net, sn = env
         rpc(sim, net, "b1-1.beta", "REGISTER", "REGISTER_ACK")
-        assert sn.peer_list(sim.now) == ["b1-1.beta"]
+        peers = sn.peer_list(sim.now)
+        assert list(peers) == ["b1-1.beta"]
+        assert peers["b1-1.beta"] is topo.host("b1-1.beta")
 
     def test_report_dead_drops(self, env):
         sim, topo, net, sn = env
@@ -116,3 +119,45 @@ class TestStaleness:
     def test_drop_unknown_is_noop(self, env):
         _sim, _topo, _net, sn = env
         sn.drop("never.registered")  # no raise
+
+
+class TestReplyMap:
+    """Replies carry a fresh ``name -> Host`` copy of the host list."""
+
+    @staticmethod
+    def check(sim, topo, sn, payload):
+        peers = payload["peers"]
+        assert list(peers) == list(sn.records)
+        assert all(host is topo.host(name) for name, host in peers.items())
+        names = list(peers)
+        peers.pop(names[0], None)
+        peers["intruder.example"] = None
+        assert list(sn.peer_list(sim.now)) == list(sn.records) == names
+        return names
+
+    def test_every_reply_is_the_registry_in_order(self, env):
+        sim, topo, net, sn = env
+
+        def send(src, kind, payload, then_s=1.0):
+            net.send(src, "a1-1.alpha", SUPERNODE_PORT, kind,
+                     payload=payload, size_bytes=64)
+            sim.run(until=sim.now + then_s)
+
+        ack = rpc(sim, net, "b1-1.beta", "REGISTER", "REGISTER_ACK")
+        assert self.check(sim, topo, sn, ack) == ["b1-1.beta"]
+        ack = rpc(sim, net, "g1-1.gamma", "REGISTER", "REGISTER_ACK")
+        assert self.check(sim, topo, sn, ack) == ["b1-1.beta", "g1-1.gamma"]
+        send("a1-2.alpha", "ALIVE", {})  # never registered
+        peers = rpc(sim, net, "b1-2.beta", "GET_PEERS", "PEERS")
+        assert self.check(sim, topo, sn, peers) == [
+            "b1-1.beta", "g1-1.gamma", "a1-2.alpha", "b1-2.beta"]
+        send("b1-1.beta", "REPORT_DEAD", {"peers": ["g1-1.gamma"]})
+        peers = rpc(sim, net, "b1-1.beta", "GET_PEERS", "PEERS")
+        assert self.check(sim, topo, sn, peers) == [
+            "b1-1.beta", "a1-2.alpha", "b1-2.beta"]
+        sim.run(until=60.0)
+        send("a1-2.alpha", "ALIVE", {}, then_s=50.0)
+        # Past stale_after_s (100 s) for everyone but a1-2, which spoke
+        # 50 s ago; g1-1 comes back at the end of the order.
+        ack = rpc(sim, net, "g1-1.gamma", "REGISTER", "REGISTER_ACK")
+        assert self.check(sim, topo, sn, ack) == ["a1-2.alpha", "g1-1.gamma"]

@@ -113,6 +113,28 @@ class TestConditions:
         with pytest.raises(RuntimeError, match="child failed"):
             sim.run_until_complete(sim.process(body(sim)))
 
+    def test_allof_over_many_children_keeps_child_order(self, sim):
+        def body(sim):
+            # Reverse completion order: the last child finishes first.
+            kids = [sim.timeout(1000.0 - i, i) for i in range(1000)]
+            res = yield sim.all_of(kids)
+            assert list(res) == kids
+            return list(res.values())
+
+        assert sim.run_until_complete(sim.process(body(sim))) == \
+            list(range(1000))
+
+    def test_allof_over_many_children_fails_on_one(self, sim):
+        def body(sim):
+            kids = [sim.timeout(float(i + 1)) for i in range(1000)]
+            bad = sim.event()
+            bad.fail(RuntimeError("child 500 failed"), delay=500.5)
+            yield sim.all_of(kids[:500] + [bad] + kids[500:])
+
+        with pytest.raises(RuntimeError, match="child 500 failed"):
+            sim.run_until_complete(sim.process(body(sim)))
+        assert sim.now == 500.5
+
     def test_anyof_with_already_processed_child(self, sim):
         done = sim.event().succeed("early")
         sim.run()

@@ -32,6 +32,27 @@ class TestLifecycle:
 
         assert sim.run_until_complete(sim.process(body(sim))) is None
 
+    def test_delayed_start_runs_ahead_of_same_time_events(self, sim):
+        log = []
+
+        def body(sim, tag):
+            log.append((tag, sim.now))
+            yield sim.timeout(0.0)
+
+        sim.event().succeed(delay=2.0).callbacks.append(
+            lambda _e: log.append(("normal", sim.now)))
+        sim.process(body(sim, "delayed"), delay=2.0)
+        sim.process(body(sim, "now"))
+        sim.run()
+        assert log == [("now", 0.0), ("delayed", 2.0), ("normal", 2.0)]
+
+    def test_negative_start_delay_rejected(self, sim):
+        def body(sim):
+            yield sim.timeout(1.0)
+
+        with pytest.raises(SimulationError):
+            sim.process(body(sim), delay=-1.0)
+
     def test_non_generator_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.process(lambda: None)
