@@ -19,25 +19,20 @@ selection:
 Hosts outside the selection get ``u_i = 0`` and their reservations are
 cancelled by the ordinary §4.3 rank-assignment path.
 
-With a bound topology the strategy maintains an
-:class:`~repro.net.contention.IncrementalPlanScore` alongside the
-selection (exposed as ``plan_score`` after planning), and the opt-in
-``plan_scored=True`` mode ranks candidates by the *live*
-plan-dependent contended bandwidth instead of the fixed-divisor
-fallback — each candidate is tried with an O(1) add, scored against
-the selection, and undone.
+Pair bandwidths are the before-the-plan score of
+:meth:`~repro.alloc.commaware.CommAwareStrategy.pair_bw_bps`: no plan
+exists while the selection grows, so a bound topology's backbones use
+the fixed-divisor fallback.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.alloc.base import (AllocationError, ReservedHost,
                               register_strategy)
 from repro.alloc.commaware import CommAwareStrategy
 from repro.alloc.spread import SpreadStrategy
-from repro.net.contention import IncrementalPlanScore
-from repro.net.topology import Topology
 
 __all__ = ["BandwidthSpreadStrategy"]
 
@@ -47,17 +42,6 @@ class BandwidthSpreadStrategy(CommAwareStrategy):
     """Greedy max-min-bandwidth selection, then spread round-robin."""
 
     name = "bandwidth_spread"
-
-    def __init__(self, topology: Optional[Topology] = None,
-                 plan_scored: bool = False) -> None:
-        super().__init__(topology=topology)
-        #: Opt-in: rank candidates by the live plan-dependent share
-        #: (see module docstring).  Off by default — the fixed-divisor
-        #: ordering is what the published campaigns ran.
-        self.plan_scored = plan_scored
-        #: Census of the last plan built by :meth:`distribute_over`
-        #: (``None`` until then, or when no topology is bound).
-        self.plan_score: Optional[IncrementalPlanScore] = None
 
     # -- capacity-only fallback ----------------------------------------
     def distribute(self, capacities: Sequence[int], n: int, r: int) -> List[int]:
@@ -73,60 +57,30 @@ class BandwidthSpreadStrategy(CommAwareStrategy):
             raise AllocationError(
                 f"bandwidth_spread: no usable host for n*r={total}")
 
-        score = (IncrementalPlanScore(self.topology)
-                 if self.topology is not None else None)
-        self.plan_score = score
         selected = [candidates[0]]
         remaining = candidates[1:]
         capacity = capacities[selected[0]]
-        if score is not None:
-            score.add(slist[selected[0]].host)
-        if self.plan_scored and score is not None:
-            # Live plan-dependent ranking: try each candidate with an
-            # O(1) add, score its worst contended link into the
-            # selection under the would-be census, undo.
-            while remaining and (capacity < total or len(selected) < r):
-                best = None
-                best_bw = -1.0
-                for idx in remaining:
-                    cand = slist[idx].host
-                    score.add(cand)
-                    worst = min(score.pair_bw_bps(cand, slist[j].host)
-                                for j in selected)
-                    score.remove(cand)
-                    # Strict > keeps the lowest slist index on equal
-                    # bandwidth: determinism under ties.
-                    if worst > best_bw:
-                        best, best_bw = idx, worst
-                selected.append(best)
-                remaining.remove(best)
-                capacity += capacities[best]
-                score.add(slist[best].host)
-        else:
-            # Prim-style: cache each remaining host's worst link into
-            # the selection and fold in only the newly added host per
-            # round — O(k^2) pair lookups instead of O(k^3), identical
-            # output.
-            worst_into = {idx: self.pair_bw_bps(slist[idx],
-                                                slist[selected[0]])
-                          for idx in remaining}
-            while remaining and (capacity < total or len(selected) < r):
-                best = None
-                best_bw = -1.0
-                for idx in remaining:
-                    # Strict > keeps the lowest slist index on equal
-                    # bandwidth: determinism under ties.
-                    if worst_into[idx] > best_bw:
-                        best, best_bw = idx, worst_into[idx]
-                selected.append(best)
-                remaining.remove(best)
-                capacity += capacities[best]
-                if score is not None:
-                    score.add(slist[best].host)
-                for idx in remaining:
-                    worst_into[idx] = min(worst_into[idx],
-                                          self.pair_bw_bps(slist[idx],
-                                                           slist[best]))
+        # Prim-style: cache each remaining host's worst link into the
+        # selection and fold in only the newly added host per round —
+        # O(k^2) pair lookups instead of O(k^3), identical output
+        # (pinned against the naive greedy in the test suite).
+        worst_into = {idx: self.pair_bw_bps(slist[idx], slist[selected[0]])
+                      for idx in remaining}
+        while remaining and (capacity < total or len(selected) < r):
+            best = None
+            best_bw = -1.0
+            for idx in remaining:
+                # Strict > keeps the lowest slist index on equal
+                # bandwidth: determinism under ties.
+                if worst_into[idx] > best_bw:
+                    best, best_bw = idx, worst_into[idx]
+            selected.append(best)
+            remaining.remove(best)
+            capacity += capacities[best]
+            for idx in remaining:
+                worst_into[idx] = min(worst_into[idx],
+                                      self.pair_bw_bps(slist[idx],
+                                                       slist[best]))
         if capacity < total or len(selected) < r:
             raise AllocationError(
                 f"bandwidth_spread: capacity exhausted at {capacity} "
@@ -147,13 +101,4 @@ class BandwidthSpreadStrategy(CommAwareStrategy):
             if d < total and not progressed:  # pragma: no cover - guarded above
                 raise AllocationError(
                     f"bandwidth_spread: capacity exhausted at d={d} < {total}")
-        if score is not None:
-            # Promote the one-copy-per-host selection census to the
-            # full process census, so plan_score.snapshot() equals
-            # ContentionModel.plan of the placement's copy multiset.
-            for idx in selected:
-                if u[idx] > 1:
-                    score.add(slist[idx].host, u[idx] - 1)
-                elif u[idx] == 0:  # pragma: no cover - selection always used
-                    score.remove(slist[idx].host)
         return u

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.alloc.base import ReservedHost, Strategy
-from repro.net.contention import WAN_CONTENTION_FACTOR, ContentionModel
+from repro.net.contention import WAN_CONTENTION_FACTOR
 from repro.net.topology import (DEFAULT_LAN_BW_BPS, DEFAULT_LAN_RTT_MS,
                                 Host, Topology)
 
@@ -44,28 +44,20 @@ __all__ = ["CommAwareStrategy", "WAN_CONTENTION_FACTOR",
 FALLBACK_WAN_BW_BPS = DEFAULT_LAN_BW_BPS / 10.0
 
 
-def contended_pair_bw_bps(topology: Topology, a: Host, b: Host,
-                          plan_hosts: Optional[Sequence[Host]] = None
-                          ) -> float:
+def contended_pair_bw_bps(topology: Topology, a: Host, b: Host) -> float:
     """Placement score: bandwidth a host pair can expect under load.
 
     Intra-site pairs keep the switched LAN rate to themselves;
     inter-site pairs divide the site backbone with the rest of the
-    job's traffic.  With ``plan_hosts`` (the placement's full host
-    multiset, one entry per process copy) the divisor is the *plan's
-    own* concurrent crossing-pair count on that backbone
-    (:class:`~repro.net.contention.ContentionModel`) — the calibrated
-    model the fig4 crossover suite validates.
-
-    Without a plan — a strategy scoring candidates mid-construction
-    has no placement to count flows from — the **deprecated** fixed
-    :data:`~repro.net.contention.WAN_CONTENTION_FACTOR` fallback
+    job's traffic.  A strategy scoring candidates mid-construction has
+    no placement to count flows from, so the **deprecated** fixed
+    :data:`~repro.net.contention.WAN_CONTENTION_FACTOR` divisor
     applies.  Any factor above the backbone/LAN ratio still ranks
     LAN > fast WAN > bordeaux WAN (the §5.2 IS ordering), which is all
-    a before-the-plan score can honestly claim.
+    a before-the-plan score can honestly claim.  Completed plans are
+    scored by :meth:`repro.net.contention.PlanContention.pair_bw_bps`,
+    whose divisor is the plan's own crossing flows.
     """
-    if plan_hosts is not None:
-        return ContentionModel(topology).pair_bw_bps(plan_hosts, a, b)
     if a.name == b.name:
         return float("inf")
     if a.site == b.site:

@@ -29,7 +29,6 @@ from repro.alloc.base import (AllocationError, ReservedHost,
                               register_strategy)
 from repro.alloc.commaware import CommAwareStrategy
 from repro.alloc.concentrate import ConcentrateStrategy
-from repro.net.contention import IncrementalPlanScore
 from repro.net.topology import Topology
 
 __all__ = ["DEFAULT_DIAMETER_MS", "DiameterConcentrateStrategy"]
@@ -55,10 +54,6 @@ class DiameterConcentrateStrategy(CommAwareStrategy):
         #: The bound actually used by the last distribution (== the
         #: configured one unless feasibility forced a relaxation).
         self.effective_diameter_ms = diameter_ms
-        #: Census of the last plan built by :meth:`distribute_over`,
-        #: maintained incrementally during the fill (``None`` until
-        #: then, or when no topology is bound).
-        self.plan_score: Optional[IncrementalPlanScore] = None
 
     # -- capacity-only fallback ----------------------------------------
     def distribute(self, capacities: Sequence[int], n: int, r: int) -> List[int]:
@@ -94,17 +89,12 @@ class DiameterConcentrateStrategy(CommAwareStrategy):
             bound = tighter[0]
         self.effective_diameter_ms = bound
 
-        score = (IncrementalPlanScore(self.topology)
-                 if self.topology is not None else None)
-        self.plan_score = score
         u = [0] * len(capacities)
         d = 0
         for idx in subset:
             take = min(capacities[idx], total - d)
             u[idx] = take
             d += take
-            if take and score is not None:
-                score.add(slist[idx].host, take)
             if d == total:
                 break
         return u

@@ -26,7 +26,6 @@ from repro.alloc.base import (AllocationError, ReservedHost,
                               register_strategy)
 from repro.alloc.commaware import CommAwareStrategy, dominant_group_size
 from repro.alloc.mixed import BlockStrategy
-from repro.net.contention import IncrementalPlanScore
 from repro.net.topology import Topology
 
 __all__ = ["TopoBlockStrategy"]
@@ -51,10 +50,6 @@ class TopoBlockStrategy(CommAwareStrategy):
             raise ValueError("group must be >= 1")
         super().__init__(topology=topology)
         self.group = group
-        #: Census of the last plan built by :meth:`distribute_over`,
-        #: maintained incrementally across both fill passes (``None``
-        #: until then, or when no topology is bound).
-        self.plan_score: Optional[IncrementalPlanScore] = None
 
     def group_size(self, n: int) -> int:
         return self.group if self.group is not None else dominant_group_size(n)
@@ -70,9 +65,6 @@ class TopoBlockStrategy(CommAwareStrategy):
                         capacities: Sequence[int], n: int, r: int) -> List[int]:
         total = n * r
         g = self.group_size(n)
-        score = (IncrementalPlanScore(self.topology)
-                 if self.topology is not None else None)
-        self.plan_score = score
         u = [0] * len(capacities)
         d = 0
 
@@ -87,8 +79,6 @@ class TopoBlockStrategy(CommAwareStrategy):
                 u[idx] += take
                 need -= take
                 d += take
-                if take and score is not None:
-                    score.add(slist[idx].host, take)
                 if need == 0:
                     break
             if d == total:
@@ -101,8 +91,6 @@ class TopoBlockStrategy(CommAwareStrategy):
                 take = min(cap - u[idx], total - d)
                 u[idx] += take
                 d += take
-                if take and score is not None:
-                    score.add(slist[idx].host, take)
                 if d == total:
                     break
         if d < total:

@@ -55,7 +55,6 @@ DEFAULT_COST_PARAMS = CostParams(
     eager_threshold_bytes=6144,
     ser_per_byte_s=2.0e-8,
     wan_extra_s=5.0e-4,
-    nic_share=True,
     wan_contention="plan",
 )
 

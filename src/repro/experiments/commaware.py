@@ -70,7 +70,7 @@ def _placement_metrics(cluster, plan) -> Dict:
     """The two Bender-style placement-quality numbers for a plan.
 
     Bandwidth is the *contended* estimate
-    (:func:`repro.alloc.commaware.contended_pair_bw_bps`): the raw
+    (:meth:`repro.net.contention.PlanContention.pair_bw_bps`): the raw
     NIC-clamped bottleneck is 1 Gb/s for every pair of the paper's
     testbed and would rank all placements equal.  A completed plan
     carries its own placement, so the score is plan-dependent — each

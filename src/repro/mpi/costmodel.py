@@ -12,15 +12,16 @@ algorithms of :mod:`repro.mpi.collectives`:
 
 Effective bandwidth accounts for NIC sharing between co-located
 processes and WAN *backbone* sharing between concurrent flows — the
-two contention effects the paper's Figure 4 analysis invokes.  The
-backbone share is plan-dependent (``CostParams.wan_contention ==
-"plan"``, the default): each site-pair link divides among the
-placement's own concurrent crossing pairs, the same counts
-:mod:`repro.net.contention` feeds the allocation scores.  The
-``"fixed"`` mode replays the deprecated constant-16 divisor (the fig4
-calibration suite pins that it does *not* reproduce the paper's IS
-crossover) and ``"none"`` the pre-calibration behaviour (NIC-clamped
-path divided by flows, no backbone pooling).
+two contention effects the paper's Figure 4 analysis invokes.  Every
+transfer divides its NIC among the processes co-located with either
+end.  The backbone share is plan-dependent (``CostParams.wan_contention
+== "plan"``, the default): each backbone link divides among the
+placement's own concurrent crossing flows, computed by the same
+:func:`~repro.net.contention.sum_link_loads` and
+:func:`~repro.net.contention.narrowest_share_bps` helpers that score
+allocations.  The ``"fixed"`` mode replays the deprecated constant-16
+divisor (the fig4 calibration suite pins that it does *not* reproduce
+the paper's IS crossover).
 
 ``CostParams.msg_fixed_s`` and ``ser_per_byte_s`` model the Java/MPJ
 per-message serialization overheads of the 2008 runtime; they are the
@@ -50,14 +51,15 @@ from typing import Dict, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
-from repro.net.contention import WAN_CONTENTION_FACTOR
+from repro.net.contention import (WAN_CONTENTION_FACTOR,
+                                  narrowest_share_bps, sum_link_loads)
 from repro.net.topology import Host, Topology
 
 __all__ = ["CostParams", "GroupLayout", "CollectiveCostModel",
            "KernelStats", "WAN_CONTENTION_MODES"]
 
 #: Valid ``CostParams.wan_contention`` settings.
-WAN_CONTENTION_MODES = ("plan", "fixed", "none")
+WAN_CONTENTION_MODES = ("plan", "fixed")
 
 #: Layout templates memoized per topology (keyed by the ordered host
 #: name tuple — rank order matters to every collective).
@@ -89,15 +91,11 @@ class CostParams:
         Per-byte (de)serialization cost.
     wan_extra_s:
         Extra fixed cost per WAN message (TCP windows over long RTT).
-    nic_share:
-        Divide LAN bandwidth by the number of co-located processes.
     wan_contention:
         How cross-site flows share the site backbone: ``"plan"``
-        (default) divides each backbone by the layout's own concurrent
-        crossing-pair count, ``"fixed"`` by the deprecated
-        :data:`~repro.net.contention.WAN_CONTENTION_FACTOR`, and
-        ``"none"`` restores the pre-calibration behaviour (the
-        NIC-clamped path rate divided by flows in alltoall only).
+        (default) divides each backbone link by the layout's own
+        concurrent crossing flows, ``"fixed"`` by the deprecated
+        :data:`~repro.net.contention.WAN_CONTENTION_FACTOR`.
     """
 
     sw_overhead_s: float = 20e-6
@@ -106,7 +104,6 @@ class CostParams:
     eager_threshold_bytes: int = 6144
     ser_per_byte_s: float = 0.0
     wan_extra_s: float = 0.0
-    nic_share: bool = True
     wan_contention: str = "plan"
 
     def __post_init__(self) -> None:
@@ -295,10 +292,10 @@ class GroupLayout:
         #: embed the mutable contention state, so callers may mutate
         #: ``colocated``/``wan_flows`` freely without invalidation.
         self._pairwise_memo: "OrderedDict" = OrderedDict()
-        #: Routed topologies: per-flow share matrices memoized by the
-        #: census state (the ``wan_flows`` diagonal *is* the per-site
-        #: totals, so the same key covers ``apply_copy_counts``).
-        self._routed_share_memo: Dict[bytes, np.ndarray] = {}
+        #: Per-flow share matrices memoized by the census state (the
+        #: ``wan_flows`` diagonal *is* the per-site totals, so the same
+        #: key covers ``apply_copy_counts``).
+        self._plan_share_memo: Dict[bytes, np.ndarray] = {}
 
     def _clone(self) -> "GroupLayout":
         """Cheap copy for the layout memo: shares every immutable site
@@ -338,71 +335,53 @@ class GroupLayout:
         totals = np.maximum(totals, self.site_counts)
         self.wan_flows = np.minimum.outer(totals, totals)
 
-    def _routed_plan_shares(self) -> np.ndarray:
-        """Site x site per-flow share on a *routed* topology.
+    def _plan_shares(self) -> np.ndarray:
+        """Site x site per-flow backbone share under the ``"plan"``
+        rule of :mod:`repro.net.contention`.
 
-        Mirrors :mod:`repro.net.contention`'s per-link model: each
-        populated site pair's ``min(n_a, n_b)`` flows load every link
-        on its shortest-RTT route, and a pair's share is the narrowest
-        per-flow slice along its own route.  The site totals are read
-        off the ``wan_flows`` diagonal (``min(n, n) == n``), so the
-        matrix follows :meth:`apply_copy_counts` and any caller
-        rebinding ``wan_flows`` without extra bookkeeping.  Memoized
-        per census state, shared across clones.
+        Each site pair's ``min(n_a, n_b)`` flows load every link on its
+        route, and a pair's share is the narrowest per-flow slice along
+        its own route (on a flat topology: its private link divided by
+        its own flows).  The site totals are read off the ``wan_flows``
+        diagonal (``min(n, n) == n``), so the matrix follows
+        :meth:`apply_copy_counts`.  Memoized per census state, shared
+        across clones.
         """
         key = self.wan_flows.tobytes()
-        cached = self._routed_share_memo.get(key)
+        cached = self._plan_share_memo.get(key)
         if cached is not None:
             return cached
         topo = self.topology
         names = self.site_names
         totals = np.diagonal(self.wan_flows)
-        n = len(names)
-        loads: Dict[Tuple[str, str], int] = {}
-        for i in range(n):
-            for j in range(i + 1, n):
-                flows = int(min(totals[i], totals[j]))
-                if not flows:
-                    continue
-                for link in topo.route_links(names[i], names[j]):
-                    loads[link] = loads.get(link, 0) + flows
-        share = np.full((n, n), np.inf)
-        for i in range(n):
-            for j in range(i + 1, n):
-                val = min(
-                    topo.link_bandwidth_bps(link) / max(1, loads.get(link, 0))
-                    for link in topo.route_links(names[i], names[j]))
-                share[i, j] = share[j, i] = val
+        pairs = [(i, j) for i in range(len(names))
+                 for j in range(i + 1, len(names))]
+        loads = sum_link_loads(
+            topo, (((names[i], names[j]), int(min(totals[i], totals[j])))
+                   for i, j in pairs))
+        share = np.full((len(names), len(names)), np.inf)
+        for i, j in pairs:
+            share[i, j] = share[j, i] = narrowest_share_bps(
+                topo, loads, names[i], names[j])
         share.setflags(write=False)
-        self._routed_share_memo[key] = share
+        self._plan_share_memo[key] = share
         return share
 
     def wan_share_bps(self, si: int, sj: int, params: CostParams) -> float:
         """Per-flow share of the ``si``<->``sj`` backbone under
-        ``params.wan_contention`` (``inf`` when unshared or LAN)."""
+        ``params.wan_contention`` (``inf`` for LAN)."""
         if si == sj:
             return float("inf")
-        backbone = self.backbone_bps[si, sj]
-        if params.wan_contention == "plan":
-            if self.topology.routed:
-                return float(self._routed_plan_shares()[si, sj])
-            return backbone / max(1, int(self.wan_flows[si, sj]))
         if params.wan_contention == "fixed":
-            return backbone / WAN_CONTENTION_FACTOR
-        return float("inf")  # "none": backbone never pooled
+            return self.backbone_bps[si, sj] / WAN_CONTENTION_FACTOR
+        return float(self._plan_shares()[si, sj])
 
     def wan_share_matrix(self, params: CostParams) -> np.ndarray:
         """Site x site per-flow backbone share under ``params``; the
         elementwise (bit-exact) batch form of :meth:`wan_share_bps`."""
-        n = len(self.site_names)
         if params.wan_contention == "plan":
-            if self.topology.routed:
-                return self._routed_plan_shares()  # inf diagonal built in
-            share = self.backbone_bps / np.maximum(1, self.wan_flows)
-        elif params.wan_contention == "fixed":
-            share = self.backbone_bps / WAN_CONTENTION_FACTOR
-        else:
-            share = np.full((n, n), np.inf)
+            return self._plan_shares()  # inf diagonal built in
+        share = self.backbone_bps / WAN_CONTENTION_FACTOR
         np.fill_diagonal(share, np.inf)
         return share
 
@@ -458,10 +437,8 @@ class CollectiveCostModel:
         if si != sj:
             cost += pa.wan_extra_s
         if nbytes > 0 and not same_host:
-            bw = layout.bw_bps[si, sj]
-            if pa.nic_share:
-                share = max(layout.colocated[src], layout.colocated[dst])
-                bw = bw / share
+            share = max(layout.colocated[src], layout.colocated[dst])
+            bw = layout.bw_bps[si, sj] / share
             if si != sj:
                 # The plan's other crossing flows pool the backbone;
                 # collective rounds run concurrently, so every edge
@@ -508,11 +485,9 @@ class CollectiveCostModel:
         cost = lat + pa.sw_overhead_s + pa.fixed_cost_s(nbytes)
         cost[cross] += pa.wan_extra_s
         if nbytes > 0:
-            bw = layout.bw_bps[si, sj]
-            if pa.nic_share:
-                share = np.maximum(layout.colocated[:, None],
-                                   layout.colocated[None, :])
-                bw = bw / share
+            share = np.maximum(layout.colocated[:, None],
+                               layout.colocated[None, :])
+            bw = layout.bw_bps[si, sj] / share
             wan = layout.wan_share_matrix(pa)
             bw = np.where(cross, np.minimum(bw, wan[si, sj]), bw)
             cost = cost + np.where(same_host,
@@ -595,9 +570,7 @@ class CollectiveCostModel:
     def _serial_bytes_time(self, layout: GroupLayout, rank: int,
                            nbytes: int) -> float:
         bw = layout.bw_bps[layout.rank_site[rank], layout.rank_site[rank]]
-        if self.params.nic_share:
-            bw /= layout.colocated[rank]
-        return nbytes * 8.0 / bw
+        return nbytes * 8.0 / (bw / layout.colocated[rank])
 
     # -- pairwise exchange ------------------------------------------------------------
     def alltoall_time(self, layout: GroupLayout, bytes_per_pair: int) -> float:
@@ -666,30 +639,19 @@ class CollectiveCostModel:
             c = counts[sj]
             if c <= 0:
                 continue
-            bw = layout.bw_bps[si, sj]
-            if pa.nic_share:
-                bw = bw / colocated
+            bw = layout.bw_bps[si, sj] / colocated
             if si != sj:
-                if pa.wan_contention == "none":
-                    # Legacy: the NIC-clamped path rate divided by
-                    # the concurrent cross flows.
-                    flows = min(layout.site_counts[si],
-                                layout.site_counts[sj])
-                    bw = min(bw, layout.bw_bps[si, sj] / max(1, flows))
-                else:
-                    # Calibrated: the *backbone* pools across the
-                    # plan's crossing pairs ("plan") or the fixed
-                    # divisor ("fixed"); a lone flow stays NIC-bound.
-                    bw = min(bw, layout.wan_share_bps(si, sj, pa))
+                # The *backbone* pools across the plan's crossing
+                # flows ("plan") or the fixed divisor ("fixed"); a
+                # lone flow stays NIC-bound.
+                bw = min(bw, layout.wan_share_bps(si, sj, pa))
             total += c * bytes_per_pair * 8.0 / bw
         # Same-host partners never touch the wire: back out the
         # (colocated-1) LAN-priced shares the loop charged them.
         k = colocated - 1
         if k > 0:
             total -= k * bytes_per_pair * 8.0 / (
-                layout.bw_bps[si, si]
-                / (colocated if pa.nic_share else 1)
-            )
+                layout.bw_bps[si, si] / colocated)
         return total
 
     def _alltoallv_wire_per_rank(self, layout: GroupLayout,
@@ -697,8 +659,8 @@ class CollectiveCostModel:
         """Per-rank bytes-on-the-wire seconds of one alltoall(v).
 
         The bandwidth-dependent component only — no latency, fixed or
-        serialization overheads — under the configured NIC and WAN
-        contention modes.  Same-host partners never touch the wire.
+        serialization overheads — under NIC sharing and the
+        configured WAN contention mode.  Same-host partners never touch the wire.
         """
         p = layout.p
         if bytes_per_pair <= 0:

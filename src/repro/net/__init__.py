@@ -15,9 +15,11 @@ This package simulates the wide-area federation the paper's testbed
   P2P-MPI's future work calls for.
 * :mod:`~repro.net.bandwidth` — per-link flow counting and effective
   bandwidth under contention.
-* :mod:`~repro.net.contention` — plan-dependent WAN backbone sharing:
-  crossing-pair counts per site link and the contended per-pair
-  bandwidth both the allocation scores and the cost model consume.
+* :mod:`~repro.net.contention` — plan-dependent WAN backbone sharing,
+  the one home of the contention rule: crossing flows per site pair,
+  their per-link loads, and each pair's contended bandwidth.  The
+  experiment packs score plans with it, and the cost model prices
+  collectives with its two per-link helpers.
 * :mod:`~repro.net.transport` — message delivery between host inboxes
   with latency + serialization + contention delays.
 * :mod:`~repro.net.ping` — round-trip measurement probes built on the

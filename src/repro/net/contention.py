@@ -23,19 +23,22 @@ count is not 16.  This module derives the divisor from the plan itself:
   backbone, clamped by the NIC-limited path rate a single flow could
   reach anyway.
 
-The same counts feed two consumers: the communication-aware placement
-score (:func:`repro.alloc.commaware.contended_pair_bw_bps`) and the
-execution-time model (:mod:`repro.mpi.costmodel`, ``wan_contention``
-mode ``"plan"``), so what the allocator optimises is what the
+This module is the one home of that rule.  Two module-level helpers
+carry it: :func:`sum_link_loads` adds each site pair's
+``min(n_a, n_b)`` flows onto every link of its shortest-RTT route, and
+:func:`narrowest_share_bps` gives a pair the narrowest per-flow slice
+along its route.  :class:`PlanContention` scores a placement plan
+with them for the communication-aware strategies and the experiment
+packs, and the execution-time model (:mod:`repro.mpi.costmodel`,
+``wan_contention`` mode ``"plan"``) prices its collectives with the
+same two helpers, so what the allocator optimises is what the
 simulated application experiences.
 
-Routed topologies (DESIGN.md §14) generalise the divisor from site
-pairs to *traversed links*: each site pair's ``min(n_a, n_b)`` flows
-load every link on its shortest-RTT route, loads accumulate on shared
-links (router chords), and a pair's contended bandwidth is the
-narrowest per-flow slice along its route.  The flat testbed is the
-exact 1-hop special case — every site pair owns its private link, so
-per-link loads coincide with the crossing-pair counts bit for bit.
+Routed topologies (DESIGN.md §14) load *traversed links*, so links
+shared by several routes (router chords) accumulate their loads.  The
+flat testbed is the exact 1-hop special case: every site pair owns
+its private link, so per-link loads coincide with the crossing-pair
+counts bit for bit.
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 from repro.net.topology import Host, Topology
 
 __all__ = ["WAN_CONTENTION_FACTOR", "LinkContention", "PlanContention",
-           "ContentionModel", "IncrementalPlanScore"]
+           "ContentionModel", "sum_link_loads", "narrowest_share_bps"]
 
 #: The deprecated fixed divisor (the pre-calibration constant).  Kept
 #: as the fallback for scoring *before a plan exists* — a strategy
@@ -90,28 +93,10 @@ class PlanContention:
         return dict(self.crossing)
 
     @cached_property
-    def _crossing_map(self) -> Dict[Tuple[str, str], int]:
-        """The crossing tuple as a dict, built once per snapshot."""
-        return dict(self.crossing)
-
-    @cached_property
     def _link_load_map(self) -> Dict[Tuple[str, str], int]:
-        """Concurrent flows per *physical* backbone link.
-
-        Flat mode: every site pair crosses its own private link, so
-        this is exactly the crossing map.  Routed mode: each site
-        pair's ``min(n_a, n_b)`` flows load every link on its route,
-        so links shared by several routes accumulate the sum.
-        """
-        if not self.topology.routed:
-            return self._crossing_map
-        out: Dict[Tuple[str, str], int] = {}
-        for (a, b), flows in self.crossing:
-            if not flows:
-                continue
-            for link in self.topology.route_links(a, b):
-                out[link] = out.get(link, 0) + flows
-        return out
+        """Concurrent flows per physical backbone link (flat mode: one
+        private link per site pair, so this is the crossing map)."""
+        return sum_link_loads(self.topology, self.crossing)
 
     def link_loads(self) -> Dict[Tuple[str, str], int]:
         """Concurrent crossing flows per physical backbone link."""
@@ -150,22 +135,32 @@ class PlanContention:
         path = self.topology.bandwidth_bps(a, b)
         if a.site == b.site:
             return path
-        if self.topology.routed:
-            return min(path, _routed_share_bps(
-                self.topology, self._link_load_map, a.site, b.site))
-        key = self.topology.link_key(a, b)
-        pairs = self._crossing_map.get(key, 1)
-        backbone = self.topology.backbone_bandwidth_bps(a, b)
-        return min(path, backbone / max(1, pairs))
+        return min(path, narrowest_share_bps(
+            self.topology, self._link_load_map, a.site, b.site))
 
 
-def _routed_share_bps(topology: Topology,
-                      link_loads: Mapping[Tuple[str, str], int],
-                      site_a: str, site_b: str) -> float:
-    """Backbone share of one ``site_a``<->``site_b`` flow on a routed
-    topology: the narrowest per-flow slice along the route, where each
-    link divides its capacity among all flows loading it (divisor
-    never below 1, mirroring the flat model's lone-flow behaviour)."""
+def sum_link_loads(topology: Topology,
+                   crossing: Iterable[Tuple[Tuple[str, str], int]]
+                   ) -> Dict[Tuple[str, str], int]:
+    """Concurrent flows per backbone link: each ``((site_a, site_b),
+    flows)`` entry loads every link on the pair's route, and links
+    shared by several routes accumulate the sum."""
+    out: Dict[Tuple[str, str], int] = {}
+    for (a, b), flows in crossing:
+        if not flows:
+            continue
+        for link in topology.route_links(a, b):
+            out[link] = out.get(link, 0) + flows
+    return out
+
+
+def narrowest_share_bps(topology: Topology,
+                        link_loads: Mapping[Tuple[str, str], int],
+                        site_a: str, site_b: str) -> float:
+    """Backbone share of one ``site_a``<->``site_b`` flow: the
+    narrowest per-flow slice along the route, where each link divides
+    its capacity among all flows loading it (divisor never below 1, so
+    a lone flow gets the whole link)."""
     return min(
         topology.link_bandwidth_bps(link) / max(1, link_loads.get(link, 0))
         for link in topology.route_links(site_a, site_b))
@@ -186,163 +181,16 @@ class ContentionModel:
     def __init__(self, topology: Topology) -> None:
         self.topology = topology
 
-    @staticmethod
-    def site_counts(hosts: Sequence[Host]) -> Dict[str, int]:
-        """Process copies per site (one count per plan entry)."""
+    def plan(self, hosts: Sequence[Host]) -> PlanContention:
+        """Snapshot the contention state of a placement plan (one
+        ``hosts`` entry per process copy)."""
         counts: Dict[str, int] = {}
         for host in hosts:
             counts[host.site] = counts.get(host.site, 0) + 1
-        return counts
-
-    @staticmethod
-    def crossing_from_counts(counts: Mapping[str, int]
-                             ) -> Dict[Tuple[str, str], int]:
-        """Crossing-pair count per backbone, from a site census."""
         names = sorted(counts)
-        out: Dict[Tuple[str, str], int] = {}
-        for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                out[(a, b)] = min(counts[a], counts[b])
-        return out
-
-    def crossing_pairs(self, hosts: Sequence[Host]
-                       ) -> Dict[Tuple[str, str], int]:
-        """Concurrent crossing-pair count per WAN backbone link."""
-        return self.crossing_from_counts(self.site_counts(hosts))
-
-    def plan(self, hosts: Sequence[Host]) -> PlanContention:
-        """Snapshot the contention state of a placement plan."""
-        counts = self.site_counts(hosts)
-        crossing = self.crossing_from_counts(counts)
         return PlanContention(
             topology=self.topology,
-            site_counts=tuple(sorted(counts.items())),
-            crossing=tuple(sorted(crossing.items())))
-
-    def pair_bw_bps(self, hosts: Sequence[Host], a: Host, b: Host) -> float:
-        """One-shot convenience over :meth:`plan`."""
-        return self.plan(hosts).pair_bw_bps(a, b)
-
-
-class IncrementalPlanScore:
-    """Mutable companion to :class:`ContentionModel` for greedy loops.
-
-    A strategy growing a plan one host at a time used to have only two
-    options: re-run :meth:`ContentionModel.plan` over the whole host
-    list per candidate (O(hosts) each, O(hosts^2) per selection pass)
-    or fall back to the fixed divisor.  This class maintains the same
-    site census under single-host :meth:`add`/:meth:`remove` in O(1)
-    and answers the contended pair-bandwidth query in O(1), so
-    try-a-candidate/score/undo costs O(selected) instead of
-    O(selected * hosts).
-
-    Agreement contract (pinned by the equivalence suite): after any
-    add/remove sequence, :meth:`snapshot` equals
-    ``ContentionModel(topology).plan(hosts)`` for the equivalent host
-    multiset, and :meth:`pair_bw_bps` equals the snapshot's.
-    """
-
-    def __init__(self, topology: Topology,
-                 hosts: Iterable[Host] = ()) -> None:
-        self.topology = topology
-        self._counts: Dict[str, int] = {}
-        #: Routed mode only: live flow count per physical link,
-        #: maintained incrementally so the agreement contract extends
-        #: to per-link loads without re-routing the whole census.
-        self._link_loads: Dict[Tuple[str, str], int] = {}
-        self.size = 0
-        for host in hosts:
-            self.add(host)
-
-    def add(self, host: Host, copies: int = 1) -> None:
-        """Place ``copies`` process copies of the plan on ``host``."""
-        self._bump(host.site, copies)
-
-    def remove(self, host: Host, copies: int = 1) -> None:
-        """Undo :meth:`add` (raises if the site census would go
-        negative — removing what was never placed is a caller bug)."""
-        self._bump(host.site, -copies)
-
-    def _bump(self, site: str, delta: int) -> None:
-        old = self._counts.get(site, 0)
-        count = old + delta
-        if count < 0:
-            raise ValueError(
-                f"site census for {site!r} would drop below zero")
-        if self.topology.routed and count != old:
-            # min(n_site, n_other) moved for every co-placed site;
-            # apply the difference to each link on that pair's route.
-            for other, n_other in self._counts.items():
-                if other == site:
-                    continue
-                moved = min(count, n_other) - min(old, n_other)
-                if not moved:
-                    continue
-                for link in self.topology.route_links(site, other):
-                    load = self._link_loads.get(link, 0) + moved
-                    if load:
-                        self._link_loads[link] = load
-                    else:
-                        self._link_loads.pop(link, None)
-        if count:
-            self._counts[site] = count
-        else:
-            self._counts.pop(site, None)
-        self.size += delta
-
-    def counts(self) -> Dict[str, int]:
-        """Live process-copy census per site."""
-        return dict(self._counts)
-
-    def crossing_pairs(self) -> Dict[Tuple[str, str], int]:
-        """Live crossing-pair counts (O(sites^2) materialisation)."""
-        return ContentionModel.crossing_from_counts(self._counts)
-
-    def link_loads(self) -> Dict[Tuple[str, str], int]:
-        """Live flow count per physical backbone link."""
-        if self.topology.routed:
-            return dict(self._link_loads)
-        return self.crossing_pairs()
-
-    def max_crossing_pairs(self) -> int:
-        """Most loaded backbone link's crossing count.  Flat mode: the
-        second-largest site census (two sites both feed their min into
-        one private link).  Routed mode: the maintained per-link max."""
-        if self.topology.routed:
-            return max(self._link_loads.values(), default=0)
-        if len(self._counts) < 2:
-            return 0
-        first = second = 0
-        for count in self._counts.values():
-            if count >= first:
-                first, second = count, first
-            elif count > second:
-                second = count
-        return second
-
-    def pair_bw_bps(self, a: Host, b: Host) -> float:
-        """Contended ``a``<->``b`` bandwidth under the live census.
-
-        Same semantics as :meth:`PlanContention.pair_bw_bps`, answered
-        in O(1) from the maintained counts.
-        """
-        if a.name == b.name:
-            return float("inf")
-        path = self.topology.bandwidth_bps(a, b)
-        if a.site == b.site:
-            return path
-        if self.topology.routed:
-            return min(path, _routed_share_bps(
-                self.topology, self._link_loads, a.site, b.site))
-        pairs = min(self._counts.get(a.site, 0),
-                    self._counts.get(b.site, 0))
-        backbone = self.topology.backbone_bandwidth_bps(a, b)
-        return min(path, backbone / max(1, pairs))
-
-    def snapshot(self) -> PlanContention:
-        """Freeze the live census into a :class:`PlanContention` equal
-        to what :meth:`ContentionModel.plan` builds from scratch."""
-        return PlanContention(
-            topology=self.topology,
-            site_counts=tuple(sorted(self._counts.items())),
-            crossing=tuple(sorted(self.crossing_pairs().items())))
+            site_counts=tuple((s, counts[s]) for s in names),
+            crossing=tuple(((a, b), min(counts[a], counts[b]))
+                           for i, a in enumerate(names)
+                           for b in names[i + 1:]))

@@ -6,6 +6,8 @@ acceptance story: at deep hierarchy the communication-aware strategies
 must buy IS wall-clock while EP stays communication-indifferent.
 """
 
+import hashlib
+
 import pytest
 
 from repro.apps.is_bench import ISBenchmark
@@ -17,7 +19,8 @@ from repro.experiments.applatency import (
     applatency_spec,
     run_applatency_campaign,
 )
-from repro.experiments.engine import ResultStore, SweepRunner
+from repro.experiments.engine import (ResultStore, SweepRunner,
+                                      encode_store_line)
 
 TINY_RATIOS = (1.0, 1000.0)
 TINY_NS = (64,)
@@ -75,6 +78,15 @@ class TestDeterminism:
         SweepRunner(spec, jobs=2, store=parallel).run()
         assert (serial.path_for(spec).read_bytes()
                 == parallel.path_for(spec).read_bytes())
+
+    def test_cell_lines_pinned(self):
+        """The cell lines, pinned: they change only with a deliberate
+        seed or model change, which must re-pin them and say so in
+        CHANGES.md."""
+        cells = "".join(encode_store_line(c.record()) + "\n"
+                        for c in SweepRunner(tiny_spec()).run().cells)
+        assert hashlib.sha256(cells.encode()).hexdigest() == (
+            "657806a3c2e76a06d206da6f2777ad8a9dbdfab1212b93fd97e1dc3270c45685")
 
     def test_kill_resume_byte_identical(self, tmp_path):
         """A campaign killed mid-sweep resumes through the ``.partial``

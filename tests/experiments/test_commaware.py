@@ -1,5 +1,7 @@
 """The communication-aware scenario pack (engine-backed)."""
 
+import hashlib
+
 import pytest
 
 from repro.cluster import ClusterSpec, build_latratio_cluster
@@ -12,7 +14,8 @@ from repro.experiments.commaware import (
     latratio_spec,
     run_commaware_campaign,
 )
-from repro.experiments.engine import ResultStore, SweepRunner
+from repro.experiments.engine import (ResultStore, SweepRunner,
+                                      encode_store_line)
 
 SMALL = ClusterSpec(kind="small")
 
@@ -57,6 +60,17 @@ class TestAllocSweep:
         SweepRunner(spec, jobs=2, store=parallel).run()
         assert (serial.path_for(spec).read_bytes()
                 == parallel.path_for(spec).read_bytes())
+
+    def test_cell_lines_pinned(self):
+        """The cell lines, pinned: they change only with a deliberate
+        seed or model change, which must re-pin them and say so in
+        CHANGES.md."""
+        spec = commaware_alloc_spec(seed=3, demands=(4, 8),
+                                    cluster_spec=SMALL)
+        cells = "".join(encode_store_line(c.record()) + "\n"
+                        for c in SweepRunner(spec).run().cells)
+        assert hashlib.sha256(cells.encode()).hexdigest() == (
+            "fce0f98480ddb114d57879e783fdb00210a0ff3ab97480d7fe60482609a8116c")
 
 
 class TestReport:

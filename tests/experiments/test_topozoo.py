@@ -8,10 +8,13 @@ the default seed, alongside the usual byte-determinism and store
 regression surface every engine-backed campaign carries.
 """
 
+import hashlib
+
 import pytest
 
 from repro.experiments.commaware import ALL_STRATEGIES
-from repro.experiments.engine import ResultStore, SweepRunner
+from repro.experiments.engine import (ResultStore, SweepRunner,
+                                      encode_store_line)
 from repro.experiments.topozoo import (TOPOZOO_FAMILIES, TOPOZOO_SITES,
                                        run_topozoo_campaign, topozoo_report,
                                        topozoo_spec, topozoo_winners)
@@ -65,6 +68,16 @@ class TestDeterminism:
         serial = topozoo_report(tiny_campaign(jobs=1))
         parallel = topozoo_report(tiny_campaign(jobs=2))
         assert serial == parallel
+
+    def test_cell_lines_pinned(self):
+        """The cell lines, pinned: they change only with a deliberate
+        seed or model change, which must re-pin them and say so in
+        CHANGES.md."""
+        spec = topozoo_spec("scale_free", sizes=TINY_SITES, seed=0)
+        cells = "".join(encode_store_line(c.record()) + "\n"
+                        for c in SweepRunner(spec).run().cells)
+        assert hashlib.sha256(cells.encode()).hexdigest() == (
+            "fc1d0b1ab293d331617172c4ad44fa2dd74f5350f199b4b11227218c9cb9c21c")
 
     def test_store_replay_byte_identical(self, tmp_path):
         store = ResultStore(tmp_path)

@@ -39,7 +39,7 @@ class TestP2PFormula:
         assert big - small == pytest.approx(0.08, rel=0.01)  # 10MB @ 1Gb/s
 
     def test_nic_share_slows_colocated(self, topo):
-        params = CostParams(nic_share=True)
+        params = CostParams()
         model = CollectiveCostModel(topo, params)
         solo = layout_of(model, topo, ["a1-1.alpha", "a1-2.alpha"])
         packed = layout_of(model, topo,

@@ -9,9 +9,7 @@ arithmetic bodies and summation order, so any drift is a bug.
 
 Also pins the supporting layers: the rank x rank ``pairwise_times``
 matrix against scalar ``p2p_time``, layout-memo clone isolation under
-caller mutation, the deterministic work counters, and
-``IncrementalPlanScore`` against batch ``ContentionModel`` under
-add/remove sequences.
+caller mutation, and the deterministic work counters.
 """
 
 import dataclasses
@@ -22,12 +20,12 @@ import pytest
 from repro.cluster import DEFAULT_COST_PARAMS
 from repro.grid5000.builder import build_topology
 from repro.mpi.costmodel import CollectiveCostModel
-from repro.net.contention import ContentionModel, IncrementalPlanScore
+from repro.net.contention import ContentionModel
 from tests.mpi.reference_kernel import ReferenceCostModel
 
 TOPO = build_topology()
 ALL_HOSTS = TOPO.all_hosts()
-MODES = ("plan", "fixed", "none")
+MODES = ("plan", "fixed")
 
 #: Message sizes straddling the eager threshold (6144) and zero.
 SIZES = (0, 8, 4096, 8192, 1_000_000)
@@ -122,7 +120,6 @@ class TestSeededGrid:
         assert_all_collectives_equal(vec, ref, lay_v, lay_r, rng)
 
     @pytest.mark.parametrize("overrides", [
-        {"nic_share": False},
         {"msg_fixed_s": 0.0, "msg_fixed_small_s": 0.0,
          "ser_per_byte_s": 0.0, "wan_extra_s": 0.0},
     ])
@@ -138,7 +135,7 @@ class TestRoutedTopologies:
     """The same bit-exact contract on routed multi-hop topologies.
 
     Generated families exercise the per-link share matrix
-    (``GroupLayout._routed_plan_shares``): both kernels must read the
+    (``GroupLayout._plan_shares``): both kernels must read the
     identical memoized matrix, so agreement is by construction — these
     tests catch any routed-branch divergence between the paths.
     """
@@ -187,28 +184,35 @@ class TestRoutedTopologies:
             lay.apply_copy_counts(census)
         assert_all_collectives_equal(vec, ref, lay_v, lay_r, rng)
 
-    def test_routed_share_agrees_with_plan_contention(self):
-        """Cross-layer: the cost model's per-pair WAN share equals the
-        contention layer's answer for the same copy multiset."""
-        topo, vec, _ = self._routed_models("plan", "fat_sites")
+    @pytest.mark.parametrize("family",
+                             ["scale_free", "small_world", "fat_sites"])
+    def test_routed_share_agrees_with_plan_contention(self, family):
+        """Cross-layer: for every site pair of random copy multisets,
+        the cost model's NIC-clamped path rate clamped by its WAN share
+        is exactly the contention layer's pair bandwidth."""
+        topo, vec, _ = self._routed_models("plan", family)
+        contention = ContentionModel(topo)
         rng = random.Random(9)
-        all_hosts = topo.all_hosts()
-        hosts = [rng.choice(all_hosts) for _ in range(20)]
-        layout = vec.layout(hosts)
-        contention = ContentionModel(topo).plan(hosts)
-        checked = 0
-        for i, a in enumerate(layout.hosts):
-            for b in layout.hosts[i + 1:]:
-                if a.site == b.site:
-                    continue
-                share = layout.wan_share_bps(
-                    layout.site_of[a.site], layout.site_of[b.site],
-                    vec.params)
-                # pair_bw additionally clamps to the NIC-limited path.
-                assert (min(topo.bandwidth_bps(a, b), share)
-                        == contention.pair_bw_bps(a, b))
-                checked += 1
-        assert checked > 0
+        sites = sorted(topo.sites)
+        pairs = 0
+        for _plan in range(40):
+            chosen = rng.sample(sites, rng.randint(2, len(sites)))
+            pool = [h for s in chosen for h in topo.hosts_in_site(s)]
+            copies = [rng.choice(pool) for _ in range(rng.randint(2, 60))]
+            layout = vec.layout(copies)
+            plan = contention.plan(copies)
+            names = layout.site_names
+            for si, a in enumerate(names):
+                for sj in range(si + 1, len(names)):
+                    b = names[sj]
+                    want = plan.pair_bw_bps(topo.site_representative(a),
+                                            topo.site_representative(b))
+                    got = min(layout.bw_bps[si, sj],
+                              layout.wan_share_bps(si, sj,
+                                                   DEFAULT_COST_PARAMS))
+                    assert got == want, (family, a, b)
+                    pairs += 1
+        assert pairs >= 400
 
 
 class TestPairwiseMatrix:
@@ -305,114 +309,3 @@ class TestWorkCounters:
         assert 0 < vec.stats.alltoallv_combo_evals < \
             ref.stats.alltoallv_rank_evals
 
-
-class TestIncrementalPlanScore:
-    def test_matches_batch_under_add_remove(self):
-        rng = random.Random(7)
-        model = ContentionModel(TOPO)
-        score = IncrementalPlanScore(TOPO)
-        bag = []
-        for _step in range(120):
-            if bag and rng.random() < 0.4:
-                host = bag.pop(rng.randrange(len(bag)))
-                score.remove(host)
-            else:
-                host = rng.choice(ALL_HOSTS)
-                bag.append(host)
-                score.add(host)
-            assert score.snapshot() == model.plan(bag)
-            assert score.size == len(bag)
-            if len(bag) >= 2:
-                a, b = rng.sample(bag, 2)
-                assert score.pair_bw_bps(a, b) == \
-                    model.plan(bag).pair_bw_bps(a, b)
-                assert score.max_crossing_pairs() == \
-                    model.plan(bag).max_crossing_pairs()
-
-    def test_multi_copy_add_remove(self):
-        nancy = TOPO.hosts_in_site("nancy")
-        lyon = TOPO.hosts_in_site("lyon")
-        score = IncrementalPlanScore(TOPO)
-        score.add(nancy[0], 64)
-        score.add(lyon[0], 64)
-        model = ContentionModel(TOPO)
-        batch = model.plan([nancy[0]] * 64 + [lyon[0]] * 64)
-        assert score.snapshot() == batch
-        score.remove(lyon[0], 64)
-        assert score.counts() == {"nancy": 64}
-
-    def test_remove_below_zero_raises(self):
-        score = IncrementalPlanScore(TOPO)
-        with pytest.raises(ValueError):
-            score.remove(ALL_HOSTS[0])
-
-    def test_seeded_constructor(self):
-        rng = random.Random(13)
-        bag = [rng.choice(ALL_HOSTS) for _ in range(30)]
-        score = IncrementalPlanScore(TOPO, bag)
-        assert score.snapshot() == ContentionModel(TOPO).plan(bag)
-
-
-class TestStrategyPlanScore:
-    """The greedy loops maintain the census they end with."""
-
-    def _slist(self, hosts):
-        from repro.alloc.base import ReservedHost
-
-        return [ReservedHost(host=h, p_limit=h.cores, latency_ms=i * 0.1)
-                for i, h in enumerate(hosts)]
-
-    def _check_census(self, strategy, slist, u):
-        plan = []
-        for idx, count in enumerate(u):
-            plan.extend([slist[idx].host] * count)
-        assert strategy.plan_score is not None
-        assert strategy.plan_score.snapshot() == \
-            ContentionModel(TOPO).plan(plan)
-
-    def test_bandwidth_spread_census(self):
-        from repro.alloc.bandwidth_spread import BandwidthSpreadStrategy
-
-        hosts = TOPO.hosts_in_site("nancy")[:6] + \
-            TOPO.hosts_in_site("lyon")[:6] + TOPO.hosts_in_site("rennes")[:6]
-        slist = self._slist(hosts)
-        caps = [h.cores for h in hosts]
-        strategy = BandwidthSpreadStrategy(topology=TOPO)
-        u = strategy.distribute_over(slist, caps, n=20, r=1)
-        self._check_census(strategy, slist, u)
-
-    def test_bandwidth_spread_plan_scored_census(self):
-        from repro.alloc.bandwidth_spread import BandwidthSpreadStrategy
-
-        hosts = TOPO.hosts_in_site("nancy")[:5] + \
-            TOPO.hosts_in_site("lyon")[:5] + \
-            TOPO.hosts_in_site("bordeaux")[:5]
-        slist = self._slist(hosts)
-        caps = [h.cores for h in hosts]
-        strategy = BandwidthSpreadStrategy(topology=TOPO, plan_scored=True)
-        u = strategy.distribute_over(slist, caps, n=16, r=1)
-        assert sum(u) == 16
-        self._check_census(strategy, slist, u)
-
-    def test_diameter_concentrate_census(self):
-        from repro.alloc.diameter_concentrate import \
-            DiameterConcentrateStrategy
-
-        hosts = TOPO.hosts_in_site("nancy")[:8] + \
-            TOPO.hosts_in_site("lyon")[:8]
-        slist = self._slist(hosts)
-        caps = [h.cores for h in hosts]
-        strategy = DiameterConcentrateStrategy(topology=TOPO)
-        u = strategy.distribute_over(slist, caps, n=24, r=1)
-        self._check_census(strategy, slist, u)
-
-    def test_topo_block_census(self):
-        from repro.alloc.topo_block import TopoBlockStrategy
-
-        hosts = TOPO.hosts_in_site("nancy")[:8] + \
-            TOPO.hosts_in_site("lyon")[:8]
-        slist = self._slist(hosts)
-        caps = [h.cores for h in hosts]
-        strategy = TopoBlockStrategy(topology=TOPO)
-        u = strategy.distribute_over(slist, caps, n=24, r=1)
-        self._check_census(strategy, slist, u)

@@ -61,24 +61,22 @@ class TestModes:
         assert two.wan_share_bps(si, sj, model.params) == pytest.approx(
             10.0e9 / 16)
 
-    def test_none_mode_never_pools(self):
-        model = model_for("none")
-        _, two = layouts_2x64_vs_1x128(model)
-        si, sj = two.site_of["nancy"], two.site_of["lyon"]
-        assert two.wan_share_bps(si, sj, model.params) == float("inf")
-
     def test_p2p_sees_backbone_share(self):
         """A cross-site byte stream is slower under plan contention
-        than under the unpooled legacy model."""
+        than at the unpooled NIC-clamped path rate."""
         plan = model_for("plan")
-        none = model_for("none")
-        _, two_p = layouts_2x64_vs_1x128(plan)
-        _, two_n = layouts_2x64_vs_1x128(none)
+        pa = plan.params
+        _, two = layouts_2x64_vs_1x128(plan)
         src = 0              # a nancy rank
-        dst = two_p.p - 1    # a lyon rank
+        dst = two.p - 1      # a lyon rank
+        si, sj = two.rank_site[src], two.rank_site[dst]
         nbytes = 1_000_000
-        assert (plan.p2p_time(two_p, src, dst, nbytes)
-                > none.p2p_time(two_n, src, dst, nbytes))
+        nic = two.bw_bps[si, sj] / max(two.colocated[src],
+                                       two.colocated[dst])
+        unpooled = (two.oneway_s[si, sj] + pa.sw_overhead_s
+                    + pa.fixed_cost_s(nbytes) + pa.wan_extra_s
+                    + nbytes * (pa.ser_per_byte_s + 8.0 / nic))
+        assert plan.p2p_time(two, src, dst, nbytes) > unpooled
 
     def test_transfer_time_is_bandwidth_only(self):
         """The wire time excludes latency/fixed costs: zero bytes cost
@@ -140,13 +138,15 @@ class TestModes:
     def test_plan_mode_relaxes_the_legacy_overcount(self):
         """The legacy model divided the NIC-clamped 1 Gb/s path by the
         flow count — as if every backbone were 1 Gb/s.  On the 10 Gb/s
-        nancy-lyon link the pooled share is 10x wider."""
+        nancy-lyon link the pooled share is 10x wider, so the plan's
+        whole wire time undercuts the legacy cross-site term alone."""
         plan = model_for("plan")
-        none = model_for("none")
-        _, two_p = layouts_2x64_vs_1x128(plan)
-        _, two_n = layouts_2x64_vs_1x128(none)
-        assert (plan.alltoallv_transfer_time(two_p, 8192)
-                < none.alltoallv_transfer_time(two_n, 8192))
+        _, two = layouts_2x64_vs_1x128(plan)
+        si, sj = two.site_of["nancy"], two.site_of["lyon"]
+        legacy_bw = two.bw_bps[si, sj] / two.wan_flows[si, sj]
+        assert two.wan_share_bps(si, sj, plan.params) == 10 * legacy_bw
+        legacy_cross_s = two.site_counts[sj] * 8192 * 8.0 / legacy_bw
+        assert plan.alltoallv_transfer_time(two, 8192) < legacy_cross_s
 
 
 class TestFig4Crossover:
@@ -192,5 +192,5 @@ class TestFig4Crossover:
         lyon = TOPO.hosts_in_site("lyon")
         plan = ([h for h in nancy[:16] for _ in range(4)]
                 + [h for h in lyon[:16] for _ in range(4)])
-        crossing = ContentionModel(TOPO).crossing_pairs(plan)
+        crossing = ContentionModel(TOPO).plan(plan).crossing_pairs()
         assert crossing[("lyon", "nancy")] == 64

@@ -37,13 +37,13 @@ class TestCountingRule:
         nancy = TOPO.hosts_in_site("nancy")[:2]
         lyon = TOPO.hosts_in_site("lyon")[0]
         plan = [nancy[0], nancy[0], nancy[1], lyon]
-        assert ContentionModel.site_counts(plan) == {"nancy": 3, "lyon": 1}
+        assert MODEL.plan(plan).counts() == {"nancy": 3, "lyon": 1}
 
     def test_crossing_pairs_is_concurrency_bound(self):
         nancy = TOPO.hosts_in_site("nancy")
         lyon = TOPO.hosts_in_site("lyon")
         plan = [h for h in nancy[:4]] + [h for h in lyon[:2]]
-        crossing = MODEL.crossing_pairs(plan)
+        crossing = MODEL.plan(plan).crossing_pairs()
         # min(4, 2): a pairwise round keeps each copy in one flow.
         assert crossing[("lyon", "nancy")] == 2
 
@@ -104,7 +104,8 @@ class TestPairScoreProperties:
         NIC-clamped path rate, same as an idle link."""
         a = TOPO.hosts_in_site("nancy")[0]
         b = TOPO.hosts_in_site("lyon")[0]
-        assert MODEL.pair_bw_bps([a, b], a, b) == TOPO.bandwidth_bps(a, b)
+        assert MODEL.plan([a, b]).pair_bw_bps(a, b) == \
+            TOPO.bandwidth_bps(a, b)
 
     def test_sixteen_crossing_pairs_agree_with_fixed_score(self):
         """The deprecated constant is the special case the calibration
@@ -113,7 +114,7 @@ class TestPairScoreProperties:
         lyon = TOPO.hosts_in_site("lyon")[:16]
         plan = nancy + lyon
         a, b = nancy[0], lyon[0]
-        plan_score = contended_pair_bw_bps(TOPO, a, b, plan_hosts=plan)
+        plan_score = MODEL.plan(plan).pair_bw_bps(a, b)
         fixed_score = contended_pair_bw_bps(TOPO, a, b)
         assert plan_score == pytest.approx(fixed_score)
         assert plan_score == pytest.approx(

@@ -14,8 +14,7 @@ import random
 import pytest
 
 from repro.grid5000.builder import build_topology
-from repro.net.contention import (ContentionModel, IncrementalPlanScore,
-                                  PlanContention)
+from repro.net.contention import ContentionModel
 from repro.net.topology import Cluster, Link, Site, Topology
 
 
@@ -78,39 +77,13 @@ class TestRoutedPlanContention:
         c = star.hosts_in_site("z")[0]
         assert contention.pair_bw_bps(a, c) == star.bandwidth_bps(a, c)
 
-
-class TestRoutedIncremental:
-    def test_matches_batch_under_add_remove(self, star):
-        rng = random.Random(11)
-        all_hosts = star.all_hosts()
-        model = ContentionModel(star)
-        score = IncrementalPlanScore(star)
-        bag = []
-        for _step in range(150):
-            if bag and rng.random() < 0.4:
-                host = bag.pop(rng.randrange(len(bag)))
-                score.remove(host)
-            else:
-                host = rng.choice(all_hosts)
-                bag.append(host)
-                score.add(host)
-            batch = model.plan(bag)
-            assert score.snapshot() == batch
-            assert score.link_loads() == batch.link_loads()
-            assert score.max_crossing_pairs() == batch.max_crossing_pairs()
-            if len(bag) >= 2:
-                a, b = rng.sample(bag, 2)
-                assert score.pair_bw_bps(a, b) == batch.pair_bw_bps(a, b)
-
     def test_multi_copy_counts(self, star):
         x = star.hosts_in_site("x")[0]
         y = star.hosts_in_site("y")[0]
-        score = IncrementalPlanScore(star)
-        score.add(x, 8)
-        score.add(y, 4)
-        assert score.link_loads() == {("r", "x"): 4, ("r", "y"): 4}
-        score.remove(y, 4)
-        assert score.link_loads() == {}
+        model = ContentionModel(star)
+        assert model.plan([x] * 8 + [y] * 4).link_loads() == {
+            ("r", "x"): 4, ("r", "y"): 4}
+        assert model.plan([x] * 8).link_loads() == {}
 
 
 class TestFlatGrid5000Pin:
