@@ -40,9 +40,10 @@ import asyncio
 import heapq
 import math
 import random
-import selectors
+from asyncio import base_events
 from dataclasses import dataclass, field
-from typing import Awaitable, Dict, List, Optional, Sequence, TypeVar
+from typing import (Awaitable, Dict, List, Optional, Sequence, Tuple,
+                    TypeVar)
 
 from repro.alloc import (
     AllocationError,
@@ -67,20 +68,30 @@ __all__ = [
 
 T = TypeVar("T")
 
+# asyncio's own heap-compaction thresholds, read once.
+_MIN_SCHEDULED_TIMER_HANDLES = base_events._MIN_SCHEDULED_TIMER_HANDLES
+_MIN_CANCELLED_TIMER_HANDLES_FRACTION = (
+    base_events._MIN_CANCELLED_TIMER_HANDLES_FRACTION)
+
 
 # ---------------------------------------------------------------------------
 # Virtual-time event loop
 # ---------------------------------------------------------------------------
 
-class VirtualTimeLoop(asyncio.SelectorEventLoop):
-    """A selector event loop running on simulated time.
+class VirtualTimeLoop(asyncio.BaseEventLoop):
+    """An asyncio event loop running on simulated time.
 
     ``time()`` returns the virtual clock; whenever the ready queue is
     empty the loop advances the clock to the earliest scheduled timer
-    instead of blocking in the selector.  ``await asyncio.sleep(3600)``
-    therefore costs nothing in wall time while preserving asyncio's
-    exact callback ordering — which is what makes campaign reports
-    byte-identical across ``--jobs`` settings.
+    instead of blocking.  ``await asyncio.sleep(3600)`` therefore costs
+    nothing in wall time while preserving asyncio's exact callback
+    ordering — which is what makes campaign reports byte-identical
+    across ``--jobs`` settings.
+
+    No file descriptor is ever registered in virtual mode and every
+    poll would have timeout 0, so the loop has no selector and no
+    self-pipe: :meth:`_run_once` is asyncio's own turn minus the I/O
+    poll (DESIGN.md §13 lists its exact operation order).
 
     If the loop goes fully idle (no ready callbacks, no timers) while
     coroutines are still pending, no event can ever wake them in a
@@ -89,22 +100,27 @@ class VirtualTimeLoop(asyncio.SelectorEventLoop):
     """
 
     def __init__(self) -> None:
-        # A bare select()-based selector: no FDs are ever registered in
-        # virtual mode, so the portable selector is the predictable one.
-        super().__init__(selectors.SelectSelector())
+        super().__init__()
         self._vtime = 0.0
 
     def time(self) -> float:
         return self._vtime
 
+    def _write_to_self(self) -> None:
+        """Wake-up for ``call_soon_threadsafe`` (asyncio uses it to close
+        async generators): a no-op, because this loop never blocks."""
+
     def _run_once(self) -> None:
-        # Drop cancelled timers first so the jump target is live.
-        while self._scheduled and self._scheduled[0]._cancelled:
-            handle = heapq.heappop(self._scheduled)
-            handle._scheduled = False
-        if not self._ready:
-            if self._scheduled:
-                when = self._scheduled[0]._when
+        scheduled = self._scheduled
+        ready = self._ready
+        # Drop cancelled timers first so the jump target is live.  This
+        # pop leaves _timer_cancelled_count alone: the timers it drops
+        # still count towards the compaction below (DESIGN.md §13).
+        while scheduled and scheduled[0]._cancelled:
+            heapq.heappop(scheduled)._scheduled = False
+        if not ready:
+            if scheduled:
+                when = scheduled[0]._when
                 if when > self._vtime:
                     self._vtime = when
             elif not self._stopping:
@@ -112,7 +128,33 @@ class VirtualTimeLoop(asyncio.SelectorEventLoop):
                     "virtual-time deadlock: tasks pending but no callback "
                     "is ready and no timer is scheduled"
                 )
-        super()._run_once()
+        # asyncio's compaction rule.  Its other branch, a head pop of
+        # cancelled timers, has nothing to do: the head is live here.
+        sched_count = len(scheduled)
+        if (sched_count > _MIN_SCHEDULED_TIMER_HANDLES
+                and self._timer_cancelled_count / sched_count
+                > _MIN_CANCELLED_TIMER_HANDLES_FRACTION):
+            live = []
+            for handle in scheduled:
+                if handle._cancelled:
+                    handle._scheduled = False
+                else:
+                    live.append(handle)
+            heapq.heapify(live)
+            self._scheduled = scheduled = live
+            self._timer_cancelled_count = 0
+        # Move every timer due within the clock resolution to the ready
+        # queue, then run the handles that were ready at this point;
+        # whatever they schedule runs on the next turn.
+        end_time = self._vtime + self._clock_resolution
+        while scheduled and scheduled[0]._when < end_time:
+            handle = heapq.heappop(scheduled)
+            handle._scheduled = False
+            ready.append(handle)
+        for _ in range(len(ready)):
+            handle = ready.popleft()
+            if not handle._cancelled:
+                handle._run()
 
 
 def run_virtual(coro: Awaitable[T]) -> T:
@@ -153,8 +195,8 @@ class ControlPlane:
     interleave arbitrarily between any two pins, and the J-limit
     invariant rests *only* on ``try_admit`` being atomic.
 
-    All registry mutation happens under one :class:`asyncio.Lock`
-    (created lazily inside the running loop, as required on 3.10).
+    No registry update contains an ``await``, so each one runs
+    atomically on the loop and needs no lock.
     """
 
     def __init__(
@@ -169,30 +211,24 @@ class ControlPlane:
         self.anchor = anchor
         self.stale_after_s = stale_after_s
         self.view = GossipView(owner="controlplane")
-        self._lock: Optional[asyncio.Lock] = None
         self._seqs: Dict[str, int] = {}
         self._envelope_seq = 0
         self._proposals: Dict[int, AssignmentProposal] = {}
         self._next_proposal = 0
         self.reaped: List[str] = []
+        self._names = sorted(gatekeepers)
         # Candidate order is fixed at construction: ascending base RTT
         # from the anchor, name-tiebroken — deterministic and identical
         # for every submitter, like a shared latency-sorted peer cache.
+        # Each entry is (host, rtt_s, rtt_ms, gatekeeper).
         anchor_host = topology.host(anchor)
-        self._candidates: List[Host] = sorted(
-            (topology.host(n) for n in gatekeepers),
-            key=lambda h: (topology.base_rtt_ms(anchor_host, h), h.name),
-        )
-        self._rtt_s = {
-            h.name: topology.base_rtt_ms(anchor_host, h) / 1000.0
-            for h in self._candidates
-        }
-
-    @property
-    def lock(self) -> asyncio.Lock:
-        if self._lock is None:
-            self._lock = asyncio.Lock()
-        return self._lock
+        walk = []
+        for name in gatekeepers:
+            host = topology.host(name)
+            rtt_ms = topology.base_rtt_ms(anchor_host, host)
+            walk.append((host, rtt_ms / 1000.0, rtt_ms, gatekeepers[name]))
+        walk.sort(key=lambda c: (c[2], c[0].name))
+        self._candidates: List[Tuple[Host, float, float, Gatekeeper]] = walk
 
     def _next_seq(self, origin: str) -> int:
         self._seqs[origin] = self._seqs.get(origin, 0) + 1
@@ -201,25 +237,23 @@ class ControlPlane:
     # -- registry / gossip -------------------------------------------------
     async def register_peer(self, name: str) -> PeerDigest:
         """Admit a peer into the registry (the REGISTER analogue)."""
-        async with self.lock:
-            digest = PeerDigest(
-                name=name, seq=self._next_seq(name), status="online",
-                load=0, last_seen=asyncio.get_running_loop().time(),
-            )
-            self.view.apply_digest(digest)
-            return digest
+        digest = PeerDigest(
+            name=name, seq=self._next_seq(name), status="online",
+            load=0, last_seen=asyncio.get_running_loop().time(),
+        )
+        self.view.apply_digest(digest)
+        return digest
 
     async def heartbeat(self, name: str) -> PeerDigest:
         """Refresh a peer's liveness and load (the ALIVE analogue)."""
         gk = self.gatekeepers.get(name)
-        async with self.lock:
-            digest = PeerDigest(
-                name=name, seq=self._next_seq(name), status="online",
-                load=gk.busy_processes if gk is not None else 0,
-                last_seen=asyncio.get_running_loop().time(),
-            )
-            self.view.apply_digest(digest)
-            return digest
+        digest = PeerDigest(
+            name=name, seq=self._next_seq(name), status="online",
+            load=gk.busy_processes if gk is not None else 0,
+            last_seen=asyncio.get_running_loop().time(),
+        )
+        self.view.apply_digest(digest)
+        return digest
 
     def make_envelope(self) -> GossipEnvelope:
         """Snapshot the view for propagation to another view."""
@@ -231,14 +265,13 @@ class ControlPlane:
 
     async def apply_gossip(self, envelope: GossipEnvelope) -> int:
         """Fold a remote envelope into the registry; digests applied."""
-        async with self.lock:
-            return self.view.apply(envelope)
+        return self.view.apply(envelope)
 
     async def heartbeat_pump(self, period_s: float) -> None:
         """Background task: every peer heartbeats once per period."""
         while True:
             await asyncio.sleep(period_s)
-            for name in sorted(self.gatekeepers):
+            for name in self._names:
                 await self.heartbeat(name)
 
     async def reaper(self, period_s: float) -> None:
@@ -246,16 +279,15 @@ class ControlPlane:
         while True:
             await asyncio.sleep(period_s)
             now = asyncio.get_running_loop().time()
-            async with self.lock:
-                for digest in self.view.digest():
-                    if (digest.status == "online"
-                            and now - digest.last_seen > self.stale_after_s):
-                        self.view.apply_digest(PeerDigest(
-                            name=digest.name, seq=self._next_seq(digest.name),
-                            status="suspect", load=digest.load,
-                            last_seen=digest.last_seen,
-                        ))
-                        self.reaped.append(digest.name)
+            for digest in self.view.digest():
+                if (digest.status == "online"
+                        and now - digest.last_seen > self.stale_after_s):
+                    self.view.apply_digest(PeerDigest(
+                        name=digest.name, seq=self._next_seq(digest.name),
+                        status="suspect", load=digest.load,
+                        last_seen=digest.last_seen,
+                    ))
+                    self.reaped.append(digest.name)
 
     # -- proposals ---------------------------------------------------------
     def propose(self, job_id: str, tenant: str,
@@ -291,28 +323,28 @@ class ControlPlane:
     ) -> Optional[AllocationPlan]:
         """Reserve, allocate and start one job; None if refused.
 
-        The §4.2 flow under concurrency: walk the candidates in latency
-        order, pay one virtual RTT per RESERVE, pin each ``J`` slot with
-        the *atomic* ``try_admit``, stop once ``n*r`` hosts are booked
-        (the paper's broadcast width — the strategy then chooses among
-        them and unused bookings are cancelled).  Everything between two
-        pins is a suspension point where any other submitter may run.
+        The §4.2 flow under concurrency: walk the peers that were online
+        when the job arrived in latency order, pay one virtual RTT per
+        RESERVE, pin each ``J`` slot with the *atomic* ``try_admit``,
+        and stop once ``n`` hosts are booked — the paper's ``n*r``
+        broadcast width at the control plane's ``r = 1``.  The strategy
+        then chooses among them and unused bookings are cancelled.
+        Everything between two pins is a suspension point where any
+        other submitter may run.
         """
         key = f"{tenant}/{job_id}"
-        online = set(self.view.online())
+        peers = self.view.peers.copy()
         reserved: List[ReservedHost] = []
         capacity = 0
-        for host in self._candidates:
-            if host.name not in online:
+        for host, rtt_s, rtt_ms, gk in self._candidates:
+            digest = peers.get(host.name)
+            if digest is None or digest.status != "online":
                 continue
-            await asyncio.sleep(self._rtt_s[host.name])
-            gk = self.gatekeepers[host.name]
+            await asyncio.sleep(rtt_s)
             if not gk.try_admit(key, tenant):
                 continue
             reserved.append(ReservedHost(
-                host=host, p_limit=gk.prefs.p_limit,
-                latency_ms=self.topology.base_rtt_ms(
-                    self.topology.host(self.anchor), host),
+                host=host, p_limit=gk.prefs.p_limit, latency_ms=rtt_ms,
             ))
             capacity += min(gk.prefs.p_limit, n)
             if len(reserved) >= n:

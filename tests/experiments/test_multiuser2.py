@@ -1,11 +1,14 @@
 """The multiuser2 control-plane campaign: spec, determinism, report."""
 
+import hashlib
+
 import pytest
 
 from repro.cli import build_run_parser, main
 from repro.cluster import ClusterSpec
 from repro.experiments import registry
-from repro.experiments.engine import ResultStore, run_sweep
+from repro.experiments.engine import (ResultStore, encode_store_line,
+                                      run_sweep)
 from repro.experiments.multiuser2 import multiuser2_report, multiuser2_spec
 from repro.experiments.orchestrator import worker_flags
 
@@ -54,6 +57,29 @@ class TestSweepDeterminism:
         assert replay.executed == 0
         assert replay.cached == first.spec.cell_count()
         assert multiuser2_report(first) == multiuser2_report(replay)
+
+
+def cell_lines_sha256(spec):
+    cells = "".join(encode_store_line(c.record()) + "\n"
+                    for c in run_sweep(spec, jobs=1).cells)
+    return hashlib.sha256(cells.encode()).hexdigest()
+
+
+class TestStorePins:
+    """The rounds' bytes, pinned: they change only with a deliberate
+    seed or model change, which must re-pin them and say so in
+    CHANGES.md.  A control-plane speed-up must leave both untouched."""
+
+    def test_tiny_spec_cells_pinned(self):
+        assert cell_lines_sha256(tiny_spec()) == (
+            "c1cb3e1e6a7224af44547dea4328f846a54284650b0674bf47eb06a316269fb7")
+
+    def test_grid5000_cell_pinned(self):
+        spec = multiuser2_spec(tenants=(40,), rates=(0.5,),
+                               strategies=("spread",),
+                               cluster_spec=ClusterSpec(kind="grid5000"))
+        assert cell_lines_sha256(spec) == (
+            "4d935e97bf0ae2e386e3a4d4a70bd384542bd61171d08af7dcecbbb5ddfb20f8")
 
 
 class TestFairnessGap:

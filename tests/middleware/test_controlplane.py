@@ -8,6 +8,8 @@ determinism the ``multiuser2`` campaign relies on.
 """
 
 import asyncio
+import gc
+import sys
 import time
 
 import pytest
@@ -74,6 +76,35 @@ class TestVirtualTimeLoop:
     def test_loop_is_reusable_per_run(self):
         assert run_virtual(asyncio.sleep(1.0, result="x")) == "x"
         assert run_virtual(asyncio.sleep(2.0, result="y")) == "y"
+
+    def test_abandoned_async_generator_is_closed_on_the_loop(self,
+                                                             monkeypatch):
+        """asyncio closes an abandoned async generator through
+        ``call_soon_threadsafe``; the selector-free loop must take it."""
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        closed = []
+
+        async def numbers():
+            try:
+                for i in range(10):
+                    await asyncio.sleep(1.0)
+                    yield i
+            finally:
+                closed.append(asyncio.get_running_loop().time())
+
+        async def main():
+            agen = numbers()
+            async for i in agen:
+                if i == 2:
+                    break
+            del agen
+            gc.collect()
+            await asyncio.sleep(1.0)
+
+        run_virtual(main())
+        assert unraisable == []
+        assert closed == [3.0]
 
     def test_clock_starts_at_zero(self):
         loop = VirtualTimeLoop()
