@@ -333,6 +333,7 @@ class ControlPlane:
         other submitter may run.
         """
         key = f"{tenant}/{job_id}"
+        # Digests are frozen, so a shallow copy is the job-start snapshot.
         peers = self.view.peers.copy()
         reserved: List[ReservedHost] = []
         capacity = 0
