@@ -17,8 +17,7 @@ Merge semantics (DESIGN.md §9):
   ``sweep-header`` line; inputs whose header *hash* differs were
   produced by different specs (or tampered with) and are refused.
 * **torn tails** — a line that does not decode as JSON is skipped (a
-  writer died mid-line); only that cell is lost, exactly as in
-  :meth:`ResultStore.load_partial`.
+  writer died mid-line); only that cell is lost.
 * **duplicates** — the same cell key appearing in several inputs (or
   twice in one, after a resume) is fine *iff* every occurrence carries
   the identical record; occurrences that diverge are a conflict and
@@ -38,7 +37,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.engine import encode_store_line, store_basename
+from repro.experiments.engine import (ResultStore, encode_store_line,
+                                      store_basename)
 
 __all__ = ["CellConflict", "MergeConflictError", "MergedStore",
            "StoreFile", "StoreMerger", "SweepConflict", "aggregate_report",
@@ -212,7 +212,9 @@ class MergedStore:
         saved — and unlinks the superseded ``.partial`` (promotion, as
         in :meth:`ResultStore.save`); an incomplete one writes the
         ``.partial`` sibling any later run or merge resumes from.
-        Atomic (tmp + rename) either way.
+        Atomic (tmp + rename) either way.  The pooled cells of the
+        inputs' store directories are copied into the destination's
+        pool, so a later run there recomputes none of them.
         """
         root = Path(out_root)
         root.mkdir(parents=True, exist_ok=True)
@@ -247,6 +249,12 @@ class MergedStore:
         tmp.replace(path)
         if path == base and partial.exists():
             partial.unlink()
+        # The cells behind the inputs come along: the destination's
+        # pool, not its view, is what later runs there are served from.
+        folders = {Path(source).parent.resolve() for source in self.sources
+                   if os.path.isfile(source)} - {root.resolve()}
+        for folder in sorted(folders):
+            ResultStore(root).absorb(ResultStore(folder))
         return path
 
     def summary(self) -> str:

@@ -16,9 +16,12 @@ figure.  This module provides exactly three pieces (see DESIGN.md §6):
   over ``concurrent.futures.ProcessPoolExecutor`` workers, or inline
   against a caller-supplied shared cluster (the legacy mode the paper
   figures use);
-* :class:`ResultStore` — persists cell results as JSONL keyed by a
-  content hash of (spec, seed, code-relevant config), so re-running a
-  sweep skips already-computed cells and ``force=True`` invalidates.
+* :class:`ResultStore` — a content-addressed pool of finished cells,
+  each keyed on its runner, the package code a cell can run, its
+  cluster, seed and parameters, plus one ordered JSONL view per spec
+  assembled from it, so re-running a sweep — or any other sweep that
+  shares a cell — skips already-computed cells and ``force=True``
+  recomputes.
 
 Determinism
 -----------
@@ -32,11 +35,13 @@ state, which makes serial and parallel executions of the same spec
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
-import inspect
 import json
 import os
+import shutil
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import contextmanager
@@ -49,8 +54,9 @@ from repro.cluster import ClusterSpec, P2PMPICluster
 from repro.sim.rng import stable_hash64
 
 __all__ = ["Cell", "CellContext", "CellResult", "ExperimentSpec",
-           "Heartbeat", "ResultStore", "SweepResult", "SweepRunner",
-           "demand_cost_key", "derive_cell_seed", "encode_store_line",
+           "Heartbeat", "REPORT_ONLY_MODULES", "ResultStore", "SweepResult",
+           "SweepRunner", "code_fingerprint", "demand_cost_key",
+           "derive_cell_seed", "encode_store_line", "fingerprint_sources",
            "make_spec", "parse_shard", "resolve_jobs", "run_sweep",
            "store_basename", "validate_shard"]
 
@@ -164,6 +170,104 @@ def _canon(value: Any) -> Any:
     cls = type(value)
     return {"__class__": f"{cls.__module__}.{cls.__qualname__}",
             "state": _canon(state) if state else None}
+
+
+def _json_digest(blob: Any) -> str:
+    text = json.dumps(blob, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# ----------------------------------------------------------------------
+# code fingerprint (DESIGN.md §20)
+# ----------------------------------------------------------------------
+#: The ``repro`` package directory.
+_PACKAGE_DIR = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+#: Modules that only render, plot, parse flags, enumerate, dispatch or
+#: merge.  No cell runs their code (``tests/experiments/
+#: test_cell_pool.py`` checks every campaign), so the fingerprint does
+#: not hash them: editing a report invalidates no cell.
+REPORT_ONLY_MODULES = frozenset({
+    "repro.cli", "repro.experiments.aggregate", "repro.experiments.cliutil",
+    "repro.experiments.figures", "repro.experiments.orchestrator",
+    "repro.experiments.registry", "repro.experiments.report"})
+
+#: runner module name -> code fingerprint (None: no readable source).
+_fingerprints: Dict[str, Optional[str]] = {}
+
+
+def _file_digest(path: Optional[str]) -> Optional[str]:
+    """SHA-256 of a file's raw bytes; None if there is no such file."""
+    if path is None:
+        return None
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError:
+        return None
+
+
+@functools.lru_cache(maxsize=None)
+def _package_digests() -> Optional[Dict[str, str]]:
+    """Module name -> raw-source digest of every module of the package
+    outside :data:`REPORT_ONLY_MODULES`; None if one cannot be read."""
+    out = {}
+    for root, dirs, files in os.walk(_PACKAGE_DIR):
+        dirs[:] = [d for d in dirs if d != "__pycache__"]
+        rel = os.path.relpath(root, _PACKAGE_DIR)
+        package = ("repro" if rel == "."
+                   else "repro." + rel.replace(os.sep, "."))
+        for file in files:
+            if not file.endswith(".py"):
+                continue
+            name = (package if file == "__init__.py"
+                    else f"{package}.{file[:-3]}")
+            if name in REPORT_ONLY_MODULES:
+                continue
+            digest = _file_digest(os.path.join(root, file))
+            if digest is None:
+                return None
+            out[name] = digest
+    return out
+
+
+def fingerprint_sources(runner: Callable) -> Optional[Dict[str, str]]:
+    """Module name -> SHA-256 of the raw source of everything a
+    runner's cells can execute: every module of the package except
+    :data:`REPORT_ONLY_MODULES`, plus the runner's own module when it
+    lives outside the package.
+
+    The whole package, not the runner's import closure: the closure
+    reached most of the package anyway, and no import parser can then
+    miss a module and replay stale cells.  ``None`` when the runner's
+    module file cannot be read (a REPL or ``python -c`` runner): such
+    a runner's cells are never pooled.
+    """
+    own = runner.__module__
+    package = _package_digests()
+    if package is None:
+        return None
+    if own in package:
+        return dict(package)
+    digest = _file_digest(getattr(sys.modules.get(own), "__file__", None))
+    return None if digest is None else {**package, own: digest}
+
+
+def code_fingerprint(runner: Callable) -> Optional[str]:
+    """SHA-256 over :func:`fingerprint_sources`, computed once per
+    process and runner module.  Raw bytes, not comment-stripped tokens:
+    stripping ``src/repro`` costs about 0.3 s per interpreter, the raw
+    hash 2-3 ms, and a docstring edit then merely recomputes."""
+    own = runner.__module__
+    if own not in _fingerprints:
+        sources = fingerprint_sources(runner)
+        if sources is None:
+            _fingerprints[own] = None
+        else:
+            _fingerprints[own] = hashlib.sha256("".join(
+                f"{name}\0{sources[name]}\n" for name in sorted(sources)
+            ).encode()).hexdigest()
+    return _fingerprints[own]
 
 
 @dataclass(frozen=True)
@@ -326,25 +430,19 @@ class ExperimentSpec:
     # identity
     # ------------------------------------------------------------------
     def to_jsonable(self) -> Dict[str, Any]:
-        """Everything that defines the sweep's results.
+        """Everything that names the sweep's canonical view.
 
-        The runner is identified by qualified name *and* a hash of its
-        source, so editing a cell runner's body invalidates cached
-        sweeps instead of silently replaying pre-fix results.
+        The runner is identified by qualified name only: the code it
+        runs is covered per cell by :meth:`pool_addresses`, so a code
+        edit recomputes cells without renaming the view.
         """
         runner = self.runner
-        try:
-            src = inspect.getsource(runner)
-            runner_src = hashlib.sha256(src.encode("utf-8")).hexdigest()
-        except (OSError, TypeError):
-            runner_src = None
         return {
             "schema": SCHEMA_VERSION,
             "name": self.name,
             "axes": _canon([[name, list(values)]
                             for name, values in self.axes]),
             "runner": f"{runner.__module__}.{runner.__qualname__}",
-            "runner_src": runner_src,
             "cluster": self.cluster.fingerprint(),
             "master_seed": self.master_seed,
             "meta": _canon(self.meta),
@@ -353,10 +451,33 @@ class ExperimentSpec:
         }
 
     def content_hash(self) -> str:
-        """SHA-256 of the canonical spec JSON — the store key."""
-        blob = json.dumps(self.to_jsonable(), sort_keys=True,
-                          separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        """SHA-256 of the canonical spec JSON — the view's name."""
+        return _json_digest(self.to_jsonable())
+
+    def pool_addresses(self, cells: Sequence[Cell]) -> Dict[str, str]:
+        """Cell key -> the cell's address in a store's cell pool.
+
+        The address hashes the runner, its :func:`code_fingerprint`,
+        the cluster, the cell's seed and parameters, the meta and the
+        seeding mode — not the spec's name, so two specs that share a
+        cell share its entry.  A shared-cluster cell also sees the state
+        the earlier cells left behind, so its address covers the whole
+        grid.  ``{}`` when the runner's code cannot be fingerprinted:
+        such cells are never pooled.
+        """
+        code = code_fingerprint(self.runner)
+        if code is None:
+            return {}
+        base = self.to_jsonable()
+        del base["name"], base["axes"], base["master_seed"]
+        base["code"] = code
+        if self.shared_cluster:
+            base["grid"] = _canon([c.params for c in self.cells()])
+            base["master_seed"] = self.master_seed
+        prefix = json.dumps(base, sort_keys=True, separators=(",", ":"))
+        return {cell.key: _json_digest([prefix, cell.seed,
+                                        _canon(cell.params)])
+                for cell in cells}
 
 
 def make_spec(name: str, axes: Mapping[str, Iterable[Any]],
@@ -431,84 +552,117 @@ class SweepResult:
 
 
 class ResultStore:
-    """JSONL persistence for sweep results, keyed by spec content hash.
+    """A content-addressed cell pool plus one JSONL view per sweep.
 
-    One file per (spec-name, hash): a header line describing the spec
-    followed by one line per cell in canonical grid order.  Files are
-    written atomically (tmp + rename) with sorted keys, so two runs of
-    the same spec — serial or parallel — produce byte-identical files.
+    Every finished cell lands in the pool under the store root,
+    ``.pool/<address>.json``, addressed by
+    :meth:`ExperimentSpec.pool_addresses` — runner, code fingerprint,
+    cluster, seed, parameters, meta — so any spec that contains the
+    cell reuses it, and any edit to code the cell can run misses it.
+    Cache hits come from the pool only.
 
-    Alongside the canonical file the runner checkpoints completed cells
-    into a ``.partial`` sibling (same header, cells in completion
-    order) every few cells, so a killed campaign resumes from the last
-    checkpoint instead of recomputing the sweep.  The partial file is
-    promoted into the canonical one — and removed — when the sweep
-    completes.
+    The view, ``<name>-<hash12>.jsonl``, is the canonical, ordered
+    form of one sweep: a header line describing the spec followed by
+    one line per cell in grid order, rewritten from the cells at the
+    end of every complete run.  Files are written atomically (tmp +
+    rename) with sorted keys, so two runs of the same spec — serial or
+    parallel, computed or pooled — produce byte-identical views.
+
+    Alongside the view the runner checkpoints completed cells into a
+    ``.partial`` sibling (same header, cells in completion order) every
+    few cells, the input of ``--shard`` merges; no run is served from
+    it.  The partial file is superseded — and removed — when the view
+    is written.
     """
+
+    #: The pool's directory under the root; hidden, so the ``*.jsonl``
+    #: scans of :meth:`entries` and the aggregate layer never see it.
+    POOL_DIR = ".pool"
 
     def __init__(self, root: os.PathLike) -> None:
         self.root = Path(root)
 
     def path_for(self, spec: ExperimentSpec) -> Path:
-        return self.root / store_basename(spec.name, spec.content_hash())
+        return self._view(spec)
 
     def partial_path_for(self, spec: ExperimentSpec) -> Path:
-        return self.path_for(spec).with_suffix(".jsonl.partial")
+        return self._view(spec).with_suffix(".jsonl.partial")
+
+    def _view(self, spec: ExperimentSpec,
+              digest: Optional[str] = None) -> Path:
+        return self.root / store_basename(spec.name,
+                                          digest or spec.content_hash())
+
+    def pool_path(self, address: str) -> Path:
+        """Where the pooled cell with this address lives."""
+        return self.root / self.POOL_DIR / f"{address}.json"
 
     def load(self, spec: ExperimentSpec) -> Dict[str, CellResult]:
-        """Previously stored cells for this exact spec (``{}`` if none).
+        """Pooled cells of this spec (``{}`` if none).
 
-        A header hash mismatch (stale schema, edited file) is treated
-        as a cache miss, never an error.
+        A missing, torn or foreign entry is a cache miss, never an
+        error.
         """
-        return self._read_cells(self.path_for(spec), spec)
+        cells = spec.cells()
+        return self.pooled(cells, spec.pool_addresses(cells))
 
-    def load_partial(self, spec: ExperimentSpec) -> Dict[str, CellResult]:
-        """Checkpointed cells of an interrupted run (``{}`` if none).
-
-        A torn line (the process died mid-write) only drops that cell;
-        every fully-written checkpoint line survives — including lines
-        a later resumed run appended after the tear
-        (:meth:`append_partial` seals torn tails with a newline).
-        """
-        return self._read_cells(self.partial_path_for(spec), spec)
-
-    def _read_cells(self, path: Path,
-                    spec: ExperimentSpec) -> Dict[str, CellResult]:
-        if not path.exists():
-            return {}
-        want = spec.content_hash()
+    def pooled(self, cells: Sequence[Cell],
+               addresses: Mapping[str, str]) -> Dict[str, CellResult]:
+        """The pooled ones of ``cells``, given their addresses."""
         out: Dict[str, CellResult] = {}
-        try:
-            with path.open("r", encoding="utf-8") as fh:
-                header = json.loads(fh.readline())
-                if (header.get("kind") != "sweep-header"
-                        or header.get("hash") != want):
-                    return {}
-                for line in fh:
-                    try:
-                        rec = json.loads(line)
-                    except ValueError:
-                        continue  # torn line of a killed writer
-                    if rec.get("kind") != "cell":
-                        continue
-                    out[rec["key"]] = CellResult(
-                        index=rec["index"], key=rec["key"],
-                        params=rec["params"], seed=rec["seed"],
-                        value=rec["value"], cached=True)
-        except (OSError, ValueError, KeyError):
-            return {}
+        for cell in cells:
+            address = addresses.get(cell.key)
+            if address is None:
+                continue
+            try:
+                entry = json.loads(self.pool_path(address).read_bytes())
+                value = entry["value"] if entry["key"] == cell.key else None
+            except (OSError, ValueError, KeyError, TypeError):
+                continue
+            if isinstance(value, dict):
+                out[cell.key] = CellResult(
+                    index=cell.index, key=cell.key, params=cell.param_dict(),
+                    seed=cell.seed, value=value, cached=True)
         return out
 
+    def put(self, address: str, result: CellResult) -> None:
+        """Pool one finished cell (atomically: tmp + rename)."""
+        path = self.pool_path(address)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_suffix(f".{os.getpid()}.tmp")
+        tmp.write_text(encode_store_line(
+            {"key": result.key, "value": result.value}), encoding="utf-8")
+        tmp.replace(path)
+
+    def absorb(self, other: "ResultStore",
+               addresses: Optional[Iterable[str]] = None) -> None:
+        """Copy the pooled cells of ``other`` — all of them, or those at
+        ``addresses`` — that this store lacks; entries it holds are
+        kept."""
+        if addresses is None:
+            addresses = [path.stem for path in
+                         (other.root / self.POOL_DIR).glob("*.json")]
+        for address in addresses:
+            src, dst = other.pool_path(address), self.pool_path(address)
+            if src.exists() and not dst.exists():
+                dst.parent.mkdir(parents=True, exist_ok=True)
+                shutil.copyfile(src, dst)
+
+    def _header(self, spec: ExperimentSpec, digest: str) -> str:
+        return encode_store_line({"kind": "sweep-header", "hash": digest,
+                                  "spec": spec.to_jsonable()}) + "\n"
+
     def append_partial(self, spec: ExperimentSpec,
-                       results: Sequence[CellResult]) -> Path:
+                       results: Sequence[CellResult], *,
+                       digest: Optional[str] = None) -> Path:
         """Checkpoint completed cells (appends; header on first write).
 
         If the file ends mid-line (a previous writer died), a newline
         seals the torn fragment into its own — skippable — line first,
         so new records never merge into it.
         """
-        path = self.partial_path_for(spec)
+        digest = digest or spec.content_hash()
+        path = self._view(spec, digest).with_suffix(".jsonl.partial")
         self.root.mkdir(parents=True, exist_ok=True)
         fresh = not path.exists()
         if not fresh:
@@ -525,54 +679,60 @@ class ResultStore:
                     fh.write("\n")
         with path.open("a", encoding="utf-8") as fh:
             if fresh:
-                header = {"kind": "sweep-header",
-                          "hash": spec.content_hash(),
-                          "spec": spec.to_jsonable()}
-                fh.write(encode_store_line(header) + "\n")
+                fh.write(self._header(spec, digest))
             for res in results:
                 fh.write(encode_store_line(res.record()) + "\n")
             fh.flush()
             os.fsync(fh.fileno())
         return path
 
-    def save(self, spec: ExperimentSpec, results: Sequence[CellResult]) -> Path:
-        """Persist a complete sweep atomically, in canonical order.
+    def save(self, spec: ExperimentSpec, results: Sequence[CellResult], *,
+             digest: Optional[str] = None) -> Path:
+        """Write a complete sweep's view atomically, in canonical order.
 
-        Promotion point: any ``.partial`` checkpoint is superseded by
-        the canonical file and removed.
+        Any ``.partial`` checkpoint is superseded by the view and
+        removed.
         """
-        path = self.path_for(spec)
+        digest = digest or spec.content_hash()
+        path = self._view(spec, digest)
         self.root.mkdir(parents=True, exist_ok=True)
-        header = {"kind": "sweep-header", "hash": spec.content_hash(),
-                  "spec": spec.to_jsonable()}
         tmp = path.with_suffix(f".{os.getpid()}.tmp")
         with tmp.open("w", encoding="utf-8") as fh:
-            fh.write(encode_store_line(header) + "\n")
+            fh.write(self._header(spec, digest))
             for res in sorted(results, key=lambda r: r.index):
                 fh.write(encode_store_line(res.record()) + "\n")
         tmp.replace(path)
-        self.clear_partial(spec)
+        self.clear_partial(spec, digest=digest)
         return path
 
-    def clear_partial(self, spec: ExperimentSpec) -> bool:
+    def clear_partial(self, spec: ExperimentSpec, *,
+                      digest: Optional[str] = None) -> bool:
         """Drop the checkpoint file; True if one existed."""
-        partial = self.partial_path_for(spec)
+        partial = self._view(spec, digest).with_suffix(".jsonl.partial")
         if partial.exists():
             partial.unlink()
             return True
         return False
 
-    def invalidate(self, spec: ExperimentSpec) -> bool:
-        """Drop the stored sweep (``--force``); True if a file existed."""
-        self.clear_partial(spec)
-        path = self.path_for(spec)
-        if path.exists():
-            path.unlink()
-            return True
-        return False
+    def invalidate(self, spec: ExperimentSpec, *,
+                   digest: Optional[str] = None,
+                   addresses: Optional[Mapping[str, str]] = None) -> bool:
+        """Drop the stored sweep (``--force``): its view, checkpoint and
+        pooled cells; True if any file existed."""
+        digest = digest or spec.content_hash()
+        if addresses is None:
+            addresses = spec.pool_addresses(spec.cells())
+        paths = [self._view(spec, digest)]
+        paths.extend(self.pool_path(a) for a in addresses.values())
+        removed = self.clear_partial(spec, digest=digest)
+        for path in paths:
+            if path.exists():
+                path.unlink()
+                removed = True
+        return removed
 
     def entries(self) -> List[Dict[str, Any]]:
-        """Headers of every stored sweep under the root."""
+        """Headers of every stored sweep view under the root."""
         out = []
         for path in sorted(self.root.glob("*.jsonl")):
             try:
@@ -707,7 +867,9 @@ class SweepRunner:
         Worker processes for per-cell sweeps (1 = in-process serial).
         Ignored (forced serial) for shared-cluster sweeps.
     store:
-        Optional :class:`ResultStore`; cached cells are skipped.
+        Optional :class:`ResultStore`; pooled cells are skipped, every
+        executed cell is pooled as it finishes, and a complete run
+        rewrites the sweep's view.
     force:
         Invalidate the stored sweep and recompute everything.
     cluster:
@@ -718,23 +880,25 @@ class SweepRunner:
     checkpoint_every:
         Flush completed cells to the store's ``.partial`` file every
         this many cells (per-cell sweeps with a store only), so a
-        killed campaign resumes from the checkpoint.  ``None`` (the
-        default) reads ``REPRO_CHECKPOINT_EVERY`` from the environment
-        — the orchestrator's channel for forcing per-cell flushes on
-        its workers — falling back to 8.  The canonical file at sweep
-        end stays byte-identical regardless of the checkpoint cadence.
+        killed shard leaves its finished cells for the merge (a killed
+        run resumes from the pool, which every cell reaches first).
+        ``None`` (the default) reads ``REPRO_CHECKPOINT_EVERY`` from
+        the environment — the orchestrator's channel for forcing
+        per-cell flushes on its workers — falling back to 8.  The view
+        at sweep end stays byte-identical regardless of the checkpoint
+        cadence.
     progress:
         Optional per-cell hook called after each *executed* cell (and
-        its checkpoint flush): cache hits never fire it.  ``None``
-        resolves :meth:`Heartbeat.from_env`, so orchestrated workers
+        its pool write and checkpoint flush): cache hits never fire it.
+        ``None`` resolves :meth:`Heartbeat.from_env`, so orchestrated workers
         beacon progress without any plumbing through the driver
         modules.
     shard:
         ``(index, count)`` 1-based shard designator (the CLI's
         ``--shard K/N``): run only this shard's slice of the grid (see
         :meth:`ExperimentSpec.shard_cells`).  A sharded run never
-        writes the canonical file — its computed cells all land in the
-        store's ``.partial`` checkpoint, the merge input
+        writes the view — its computed cells land in the pool and in
+        the store's ``.partial`` checkpoint, the merge input
         :mod:`repro.experiments.aggregate` reassembles campaigns from.
         Incompatible with shared-cluster specs (a stateful sweep
         cannot be partitioned) and with an explicit ``cluster``.
@@ -786,6 +950,9 @@ class SweepRunner:
         self.progress = (progress if progress is not None
                          else Heartbeat.from_env())
         self._pending_checkpoint: List[CellResult] = []
+        #: Set per run: the view hash and the cells' pool addresses.
+        self._digest: Optional[str] = None
+        self._addresses: Dict[str, str] = {}
 
     # ------------------------------------------------------------------
     def run(self) -> SweepResult:
@@ -798,7 +965,11 @@ class SweepRunner:
 
         cells = (self.spec.shard_cells(self.shard) if self.shard
                  else self.spec.cells())
-        cached, resumed = self._load_cache(cells)
+        if self.store is not None:
+            # The one view hash of this run; every store call reuses it.
+            self._digest = self.spec.content_hash()
+            self._addresses = self.spec.pool_addresses(cells)
+        cached = self._load_cache(cells)
         todo = [c for c in cells if c.key not in cached]
         if self.spec.shared_cluster:
             computed = (self._run_shared(cells) if todo else [])
@@ -812,55 +983,53 @@ class SweepRunner:
         by_key = dict(cached)
         by_key.update({r.key: r for r in computed})
         results = [by_key[c.key] for c in cells]
-        if (self.store is not None and self.shard is None
-                and (computed or resumed)):
-            # `resumed` promotes a checkpoint-only sweep to canonical
-            # even when this invocation had nothing left to execute.
-            # Sharded runs never promote: their slice is complete but
-            # the sweep is not — computed cells stay in the .partial
-            # checkpoint for the merge step.
-            self.store.save(self.spec, results)
+        if self.store is not None and self.shard is None:
+            # The view is assembled even when every cell was pooled
+            # (e.g. by other specs).  A shard's slice is complete but
+            # the sweep is not: its cells stay in the pool and the
+            # .partial checkpoint for the merge step.
+            self.store.save(self.spec, results, digest=self._digest)
         return SweepResult(self.spec, results, executed=len(computed),
                            cached=len(cached),
                            elapsed_s=time.perf_counter() - t0,
                            shard=self.shard)
 
     # ------------------------------------------------------------------
-    def _load_cache(self,
-                    cells: Sequence[Cell]) -> Tuple[Dict[str, CellResult], bool]:
-        """Stored cells usable for this run, plus a resumed-from-partial
-        flag (which forces canonical promotion at the end)."""
+    def _load_cache(self, cells: Sequence[Cell]) -> Dict[str, CellResult]:
+        """Pooled cells usable for this run; a runner without a code
+        fingerprint gets none.
+
+        Never the ``.partial`` checkpoint: it is keyed on the view hash,
+        which leaves the code out, and every cell in it was pooled
+        before it was checkpointed.  It is merge input only.
+        """
         if self.store is None:
-            return {}, False
+            return {}
         if self.force:
-            self.store.invalidate(self.spec)
-            return {}, False
-        cached = self.store.load(self.spec)
-        keys = {c.key for c in cells}
-        if self.spec.shared_cluster:
+            self.store.invalidate(self.spec, digest=self._digest,
+                                  addresses=self._addresses)
+            return {}
+        cached = self.store.pooled(cells, self._addresses)
+        if self.spec.shared_cluster and len(cached) < len(cells):
             # All-or-nothing: partially replaying a stateful sweep
-            # would change what later cells observe.  Checkpoints are
-            # never written for shared sweeps, so none are read.
-            if set(cached) >= keys:
-                return cached, False
-            return {}, False
-        partial = {key: res
-                   for key, res in self.store.load_partial(self.spec).items()
-                   if key in keys and key not in cached}
-        cached = {key: res for key, res in cached.items() if key in keys}
-        cached.update(partial)
-        return cached, bool(partial)
+            # would change what later cells observe.
+            return {}
+        return cached
 
     # ------------------------------------------------------------------
-    # checkpointing
+    # pooling and checkpointing
     # ------------------------------------------------------------------
-    def _checkpoint(self, result: CellResult) -> None:
-        if self.store is None or self.spec.shared_cluster:
-            return
-        self._pending_checkpoint.append(result)
-        if len(self._pending_checkpoint) >= self.checkpoint_every:
-            self.store.append_partial(self.spec, self._pending_checkpoint)
-            self._pending_checkpoint.clear()
+    def _landed(self, result: CellResult) -> None:
+        """An executed cell: pool it, checkpoint it, report progress."""
+        address = self._addresses.get(result.key)
+        if address is not None:
+            self.store.put(address, result)
+        if self.store is not None and not self.spec.shared_cluster:
+            self._pending_checkpoint.append(result)
+            if len(self._pending_checkpoint) >= self.checkpoint_every:
+                self._flush_checkpoint()
+        if self.progress is not None:
+            self.progress(result)
 
     def _run_inline(self, cells: Sequence[Cell],
                     cluster: P2PMPICluster) -> List[CellResult]:
@@ -874,8 +1043,7 @@ class SweepRunner:
                 seed=cell.seed, value=value,
                 elapsed_s=time.perf_counter() - t0)
             out.append(result)
-            if self.progress is not None:
-                self.progress(result)
+            self._landed(result)
         return out
 
     def _run_shared(self, cells: Sequence[Cell]) -> List[CellResult]:
@@ -889,9 +1057,7 @@ class SweepRunner:
                 for cell in todo:
                     result = _execute_cell(self.spec, cell)
                     out.append(result)
-                    self._checkpoint(result)
-                    if self.progress is not None:
-                        self.progress(result)
+                    self._landed(result)
         finally:
             self._flush_checkpoint()
         return out
@@ -921,16 +1087,15 @@ class SweepRunner:
                 for future in as_completed(futures):
                     result = future.result()
                     out.append(result)
-                    self._checkpoint(result)
-                    if self.progress is not None:
-                        self.progress(result)
+                    self._landed(result)
             finally:
                 self._flush_checkpoint()
         return out
 
     def _flush_checkpoint(self) -> None:
         if self._pending_checkpoint and self.store is not None:
-            self.store.append_partial(self.spec, self._pending_checkpoint)
+            self.store.append_partial(self.spec, self._pending_checkpoint,
+                                      digest=self._digest)
             self._pending_checkpoint.clear()
 
 

@@ -19,6 +19,7 @@ across ``--jobs`` settings and cache replays.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.cluster import ClusterSpec
@@ -67,13 +68,19 @@ def multiuser2_spec(
     cluster_spec: Optional[ClusterSpec] = None,
     name: str = "multiuser2",
 ) -> ExperimentSpec:
-    """The control-plane fairness campaign as a declarative spec."""
+    """The control-plane fairness campaign as a declarative spec.
+
+    Whatever ``cluster_spec`` says, the cells build it unbooted: they
+    read its topology, gatekeepers and submitter only, never the DES
+    overlay a boot would start.
+    """
     return make_spec(
         name=name,
         axes={"rate": tuple(rates), "tenants": tuple(tenants),
               "strategy": tuple(strategies)},
         runner=multiuser2_cell,
-        cluster=cluster_spec or ClusterSpec(kind="small"),
+        cluster=dataclasses.replace(cluster_spec or ClusterSpec(kind="small"),
+                                    boot=False),
         master_seed=seed,
         meta={"jobs_per_tenant": jobs_per_tenant, "n": n,
               "work_s": work_s},

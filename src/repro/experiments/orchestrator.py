@@ -58,7 +58,7 @@ from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
 from repro.experiments.aggregate import MergeConflictError, merge_into
-from repro.experiments.engine import ExperimentSpec, ResultStore
+from repro.experiments.engine import ExperimentSpec, ResultStore, run_sweep
 
 __all__ = ["ExecutionStrategy", "LocalProcessStrategy",
            "OrchestrationReport", "Orchestrator", "ShardState",
@@ -319,8 +319,9 @@ class Orchestrator:
     # planning
     # ------------------------------------------------------------------
     def _cached_keys(self, spec: ExperimentSpec) -> Set[str]:
-        """Cell keys the campaign store already holds for ``spec``."""
-        return set(self.store.load(spec)) | set(self.store.load_partial(spec))
+        """Cell keys the campaign store's pool already holds for
+        ``spec`` (a ``.partial`` is merge input, never a cache)."""
+        return set(self.store.load(spec))
 
     def _plan(self) -> List[ShardState]:
         """Shard states with per-spec owed keys, minus cached cells."""
@@ -342,24 +343,18 @@ class Orchestrator:
         return states
 
     def _seed_scratch(self, st: ShardState) -> None:
-        """Copy the campaign store's files into the shard's scratch.
+        """Copy the campaign store's pooled cells of the shard's sweeps
+        into its scratch.
 
-        A retried attempt resumes from the scratch checkpoint its
-        predecessor flushed; a *fresh* campaign resume (orchestrate
-        re-run over a half-done ``--out``) starts workers against the
-        cells already landed, so they skip them instead of recomputing.
+        A retried attempt resumes from the scratch pool its predecessor
+        filled; a *fresh* campaign resume (orchestrate re-run over a
+        half-done ``--out``) starts workers against the cells already
+        landed, so they skip them instead of recomputing.
         """
         scratch_store = ResultStore(st.scratch)
         for spec, _keys in st.expected:
-            pairs = (
-                (self.store.path_for(spec), scratch_store.path_for(spec)),
-                (self.store.partial_path_for(spec),
-                 scratch_store.partial_path_for(spec)),
-            )
-            for src, dst in pairs:
-                if src.exists() and not dst.exists():
-                    dst.parent.mkdir(parents=True, exist_ok=True)
-                    shutil.copyfile(src, dst)
+            scratch_store.absorb(self.store,
+                                 spec.pool_addresses(spec.cells()).values())
 
     # ------------------------------------------------------------------
     # per-shard lifecycle
@@ -400,14 +395,13 @@ class Orchestrator:
         """Did the scratch store land every cell this shard owes?"""
         scratch_store = ResultStore(st.scratch)
         for spec, keys in st.expected:
-            have = (set(scratch_store.load_partial(spec))
-                    | set(scratch_store.load(spec)))
-            if not keys <= have:
+            if not keys <= set(scratch_store.load(spec)):
                 return False
         return True
 
     def _merge_shard(self, st: ShardState) -> None:
-        """Fold the landed shard into the campaign store right away."""
+        """Fold the landed shard into the campaign store right away (the
+        merge also brings its pooled cells)."""
         scratch_store = ResultStore(st.scratch)
         for spec, _keys in st.expected:
             partial = scratch_store.partial_path_for(spec)
@@ -540,6 +534,14 @@ class Orchestrator:
 
         report.failed = {st.index: st.failure or "unknown failure"
                          for st in states if st.status == "failed"}
+        for spec in self.specs:
+            # A sweep whose cells were all pooled before (by `run` or
+            # by another sweep sharing them) gives no shard anything to
+            # merge: assemble its view here, executing nothing.
+            if (not self.store.path_for(spec).exists()
+                    and self._cached_keys(spec)
+                    >= {c.key for c in spec.cells()}):
+                run_sweep(spec, store=self.store)
         report.canonical = [self.store.path_for(spec)
                             for spec in self.specs]
         missing = [p for p in report.canonical if not p.exists()]

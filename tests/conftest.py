@@ -29,6 +29,18 @@ def make_small_topology(lan_rtt_ms: float = 0.1) -> Topology:
     )
 
 
+def simulate_kill(store, spec, finished) -> None:
+    """Leave ``store`` as a run of ``spec`` killed after the
+    ``finished`` cells leaves it: no view, those cells pooled and
+    checkpointed, no other cell pooled."""
+    store.path_for(spec).unlink()
+    done = {cell.key for cell in finished}
+    for key, address in spec.pool_addresses(spec.cells()).items():
+        if key not in done:
+            store.pool_path(address).unlink(missing_ok=True)
+    store.append_partial(spec, finished)
+
+
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator(seed=7)

@@ -21,6 +21,7 @@ from repro.experiments.applatency import (
 )
 from repro.experiments.engine import (ResultStore, SweepRunner,
                                       encode_store_line)
+from tests.conftest import simulate_kill
 
 TINY_RATIOS = (1.0, 1000.0)
 TINY_NS = (64,)
@@ -95,8 +96,7 @@ class TestDeterminism:
         store = ResultStore(tmp_path)
         full = SweepRunner(spec, store=store).run()
         canonical = store.path_for(spec).read_bytes()
-        store.path_for(spec).unlink()
-        store.append_partial(spec, full.cells[:3])
+        simulate_kill(store, spec, full.cells[:3])
         resumed = SweepRunner(spec, jobs=2, store=store).run()
         assert resumed.executed == 5 and resumed.cached == 3
         assert store.path_for(spec).read_bytes() == canonical

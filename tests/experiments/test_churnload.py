@@ -20,6 +20,7 @@ from repro.experiments.engine import (ResultStore, SweepRunner,
                                       encode_store_line)
 from repro.experiments.multiuser import default_submitters
 from repro.middleware.jobs import JobRequest
+from tests.conftest import simulate_kill
 
 
 def tiny_spec(seed=0, failures=(0.0, 0.006),
@@ -154,9 +155,8 @@ class TestDeterminism:
         store = ResultStore(tmp_path)
         full = SweepRunner(spec, store=store).run()
         canonical = store.path_for(spec).read_bytes()
-        # Simulate the kill: canonical gone, checkpoint holds 2 of 4.
-        store.path_for(spec).unlink()
-        store.append_partial(spec, full.cells[:2])
+        # Simulate the kill: canonical gone, 2 of 4 cells landed.
+        simulate_kill(store, spec, full.cells[:2])
         resumed = SweepRunner(spec, jobs=2, store=store).run()
         assert resumed.executed == 2 and resumed.cached == 2
         assert store.path_for(spec).read_bytes() == canonical

@@ -17,15 +17,19 @@ from repro.experiments.coallocation import (
     coallocation_spec,
     series_from_sweep,
 )
+from repro.experiments.aggregate import read_store_file
 from repro.experiments.engine import (
     CellContext,
     ResultStore,
     SweepRunner,
+    code_fingerprint,
     derive_cell_seed,
+    fingerprint_sources,
     make_spec,
     parse_shard,
     resolve_jobs,
 )
+from tests.conftest import simulate_kill
 
 SMALL = ClusterSpec(kind="small")
 
@@ -165,15 +169,33 @@ class TestStore:
         assert loaded["a=1"].value == result.cells[0].value
 
     def test_hash_mismatch_is_cache_miss(self, tmp_path):
+        # The pool is the cache: an entry at a cell's address that
+        # records another cell, or a torn one, is a miss.
+        spec = make_spec("t", {"a": (1, 2)}, probe_cell)
+        store = ResultStore(tmp_path)
+        SweepRunner(spec, store=store).run()
+        addresses = spec.pool_addresses(spec.cells())
+        foreign = store.pool_path(addresses["a=1"])
+        foreign.write_text(foreign.read_text().replace('"a=1"', '"a=2"'))
+        torn = store.pool_path(addresses["a=2"])
+        torn.write_bytes(torn.read_bytes()[:-5])
+        assert store.load(spec) == {}
+
+    def test_view_header_does_not_gate_the_pool(self, tmp_path):
+        # The view is a name and an ordered copy, not the cache: a
+        # tampered header misses nothing, and the next run rewrites it.
         spec = make_spec("t", {"a": (1,)}, probe_cell)
         store = ResultStore(tmp_path)
         SweepRunner(spec, store=store).run()
         path = store.path_for(spec)
+        canonical = path.read_bytes()
         lines = path.read_text().splitlines()
         header = json.loads(lines[0])
         header["hash"] = "0" * 64
         path.write_text("\n".join([json.dumps(header)] + lines[1:]) + "\n")
-        assert store.load(spec) == {}
+        assert set(store.load(spec)) == {"a=1"}
+        assert SweepRunner(spec, store=store).run().executed == 0
+        assert path.read_bytes() == canonical
 
     def test_invalidate(self, tmp_path):
         spec = make_spec("t", {"a": (1,)}, probe_cell)
@@ -209,9 +231,8 @@ class TestCheckpointResume:
         spec = small_spec()
         store = ResultStore(tmp_path)
         full = SweepRunner(spec, store=store).run()
-        # Simulate a kill after 3 of 4 cells: only a partial remains.
-        store.path_for(spec).unlink()
-        store.append_partial(spec, full.cells[:3])
+        # Simulate a kill after 3 of 4 cells: no view, 3 cells landed.
+        simulate_kill(store, spec, full.cells[:3])
         resumed = SweepRunner(spec, store=store).run()
         assert resumed.executed == 1
         assert resumed.cached == 3
@@ -257,7 +278,7 @@ class TestCheckpointResume:
         store.append_partial(spec, full.cells)
         partial = store.partial_path_for(spec)
         partial.write_bytes(partial.read_bytes()[:-20])
-        loaded = store.load_partial(spec)
+        loaded = read_store_file(store.partial_path_for(spec)).cells
         assert len(loaded) == spec.cell_count() - 1
 
     def test_append_after_torn_tail_preserves_new_records(self, tmp_path):
@@ -271,7 +292,7 @@ class TestCheckpointResume:
         partial = store.partial_path_for(spec)
         partial.write_bytes(partial.read_bytes()[:-15])  # tear 2nd cell
         store.append_partial(spec, full.cells[2:])
-        loaded = store.load_partial(spec)
+        loaded = read_store_file(store.partial_path_for(spec)).cells
         # Only the torn cell is lost; the post-tear appends all survive.
         assert len(loaded) == spec.cell_count() - 1
         assert full.cells[2].key in loaded and full.cells[3].key in loaded
@@ -295,7 +316,7 @@ class TestCheckpointResume:
         with pytest.raises(RuntimeError):
             SweepRunner(spec, store=store, checkpoint_every=1).run()
         assert not store.path_for(spec).exists()
-        flushed = store.load_partial(spec)
+        flushed = read_store_file(store.partial_path_for(spec)).cells
         assert {key.split(",")[1] for key in flushed} == {"n=4"}
 
     def test_invalidate_clears_partial(self, tmp_path):
@@ -353,7 +374,7 @@ class TestShard:
         assert result.shard == (1, 2)
         assert result.executed == len(spec.shard_cells((1, 2)))
         assert not store.path_for(spec).exists()
-        flushed = store.load_partial(spec)
+        flushed = read_store_file(store.partial_path_for(spec)).cells
         assert set(flushed) == {c.key for c in spec.shard_cells((1, 2))}
 
     def test_shard_union_resumes_to_canonical(self, tmp_path):
@@ -448,10 +469,9 @@ class TestRunnerModes:
         again = SweepRunner(spec, store=store).run()
         assert again.executed == 0
         assert again.cached == spec.cell_count()
-        # Drop one cell line: the partial file must not be replayed.
-        path = store.path_for(spec)
-        lines = path.read_text().splitlines()
-        path.write_text("\n".join(lines[:-1]) + "\n")
+        # Drop one pooled cell: the rest must not be replayed.
+        last = spec.cells()[-1].key
+        store.pool_path(spec.pool_addresses(spec.cells())[last]).unlink()
         third = SweepRunner(spec, store=store).run()
         assert third.executed == spec.cell_count()
 
@@ -475,9 +495,16 @@ class TestRunnerModes:
             SweepRunner(small_spec(), cluster=small_cluster, force=True)
 
     def test_hash_covers_runner_source(self):
-        blob = small_spec().to_jsonable()
-        assert len(blob["runner_src"]) == 64
+        # The runner's source is covered per cell, by the code
+        # fingerprint in its pool address, not by the view's name.
+        spec = small_spec()
+        blob = spec.to_jsonable()
+        assert "runner_src" not in blob
         assert blob["runner"].endswith("coallocation_cell")
+        sources = fingerprint_sources(coallocation_cell)
+        assert "repro.experiments.coallocation" in sources
+        assert len(code_fingerprint(coallocation_cell)) == 64
+        assert len(set(spec.pool_addresses(spec.cells()).values())) == 4
 
     def test_result_selectors(self):
         spec = make_spec("t", {"a": (1, 2), "b": (3,)}, probe_cell)
