@@ -18,11 +18,10 @@ from repro.experiments.report import format_site_table
 from benchmarks.conftest import emit
 
 
-def test_bench_fig2_concentrate(cluster, benchmark):
+def test_bench_fig2_concentrate(benchmark):
     series = benchmark.pedantic(
         lambda: run_coallocation_experiment(
-            demands=PAPER_DEMANDS, strategies=("concentrate",),
-            cluster=cluster)["concentrate"],
+            demands=PAPER_DEMANDS, strategies=("concentrate",))["concentrate"],
         rounds=1, iterations=1,
     )
 

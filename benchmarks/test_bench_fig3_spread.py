@@ -19,11 +19,10 @@ from repro.experiments.report import format_site_table
 from benchmarks.conftest import emit
 
 
-def test_bench_fig3_spread(cluster, benchmark):
+def test_bench_fig3_spread(benchmark):
     series = benchmark.pedantic(
         lambda: run_coallocation_experiment(
-            demands=PAPER_DEMANDS, strategies=("spread",),
-            cluster=cluster)["spread"],
+            demands=PAPER_DEMANDS, strategies=("spread",))["spread"],
         rounds=1, iterations=1,
     )
 

@@ -20,11 +20,10 @@ from repro.experiments.report import format_series_table
 from benchmarks.conftest import emit
 
 
-def test_bench_fig4_ep(cluster, benchmark):
+def test_bench_fig4_ep(benchmark):
     series = benchmark.pedantic(
         lambda: run_application_experiment(
-            EPBenchmark("B"), process_counts=EP_PROCESS_COUNTS,
-            cluster=cluster),
+            EPBenchmark("B"), process_counts=EP_PROCESS_COUNTS),
         rounds=1, iterations=1,
     )
 

@@ -20,11 +20,10 @@ from repro.experiments.report import format_series_table
 from benchmarks.conftest import emit
 
 
-def test_bench_fig4_is(cluster, benchmark):
+def test_bench_fig4_is(benchmark):
     series = benchmark.pedantic(
         lambda: run_application_experiment(
-            ISBenchmark("B"), process_counts=IS_PROCESS_COUNTS,
-            cluster=cluster),
+            ISBenchmark("B"), process_counts=IS_PROCESS_COUNTS),
         rounds=1, iterations=1,
     )
 

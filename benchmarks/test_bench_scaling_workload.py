@@ -16,11 +16,10 @@ from repro.workloads import JobMix, WorkloadSpec, generate_stream, replay_stream
 from benchmarks.conftest import emit
 
 
-def test_bench_reservation_scaling(cluster, benchmark):
+def test_bench_reservation_scaling(benchmark):
     series = benchmark.pedantic(
         lambda: run_scaling_experiment(
-            demands=(50, 100, 200, 400, 600), strategy="spread",
-            cluster=cluster),
+            demands=(50, 100, 200, 400, 600), strategy="spread"),
         rounds=1, iterations=1,
     )
     emit("Co-allocation latency vs demand (simulated)",

@@ -17,26 +17,23 @@ from repro.experiments.report import format_series_table
 
 
 def main() -> None:
-    cluster = build_grid5000_cluster(seed=42)
-
+    # Every sweep cell boots its own testbed, as `p2pmpirun run fig4` does.
     print("Figure 4 left — NAS EP class B (seconds):")
     ep = run_application_experiment(EPBenchmark("B"),
-                                    process_counts=(32, 64, 128, 256, 512),
-                                    cluster=cluster)
+                                    process_counts=(32, 64, 128, 256, 512))
     print(format_series_table(ep, title="EP-B n"))
 
     print("\nFigure 4 right — NAS IS class B (seconds):")
     is_ = run_application_experiment(ISBenchmark("B"),
-                                     process_counts=(32, 64, 128),
-                                     cluster=cluster)
+                                     process_counts=(32, 64, 128))
     print(format_series_table(is_, title="IS-B n"))
 
     print("\nExtension — CG-like workload (halo exchange + dot products):")
     cg = run_application_experiment(CGLikeBenchmark("B"),
-                                    process_counts=(32, 64, 128),
-                                    cluster=cluster)
+                                    process_counts=(32, 64, 128))
     print(format_series_table(cg, title="CG-B n"))
 
+    cluster = build_grid5000_cluster(seed=42)
     print("\nExtension — block mixed strategy on IS-B at n=64")
     print("(block=1 is spread, block>=4 behaves like concentrate):")
     for block in (1, 2, 4):

@@ -21,8 +21,9 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.apps.base import Application
-from repro.experiments.engine import (CellContext, derive_cell_seed,
-                                      make_spec, run_sweep)
+from repro.cluster import ClusterSpec
+from repro.experiments.engine import (Cell, CellContext, ExperimentSpec,
+                                      derive_cell_seed, make_spec, run_sweep)
 from repro.ft.replication import survival_probability
 from repro.grid5000.builder import build_topology
 from repro.middleware.config import MiddlewareConfig
@@ -33,7 +34,8 @@ from repro.net.topology import Topology
 __all__ = ["kendall_tau", "latency_noise_ablation", "smoothing_ablation",
            "overbooking_ablation", "replication_ablation",
            "block_strategy_ablation", "noise_cell", "smoothing_cell",
-           "overbooking_cell", "replication_cell", "block_cell"]
+           "overbooking_cell", "overbooking_cluster", "overbooking_spec",
+           "replication_cell", "block_cell"]
 
 
 def kendall_tau(a: Sequence[float], b: Sequence[float]) -> float:
@@ -144,16 +146,17 @@ class OverbookPoint:
     allocated: int
 
 
-def overbooking_cell(ctx: CellContext) -> dict:
-    """Engine cell: one overbooking factor against freshly-dead peers.
+def overbooking_cluster(spec: ExperimentSpec, cell: Cell) -> ClusterSpec:
+    """``cell_cluster``: hosts overbook by the cell's factor."""
+    return spec.cluster.with_config(MiddlewareConfig(
+        overbook_factor=cell.param_dict()["factor"], overbook_extra=0,
+        rs_timeout_s=1.0))
 
-    Builds its own cluster (the middleware config varies per cell), so
-    it bypasses ``ctx.cluster`` and derives from ``cluster_spec``.
-    """
-    factor = ctx.params["factor"]
-    config = MiddlewareConfig(overbook_factor=factor, overbook_extra=0,
-                              rs_timeout_s=1.0)
-    cluster = ctx.cluster_spec.with_config(config).build(seed=ctx.seed)
+
+def overbooking_cell(ctx: CellContext) -> dict:
+    """Engine cell: one overbooking factor against freshly-dead peers,
+    on the cluster :func:`overbooking_cluster` configures."""
+    cluster = ctx.cluster
     victims = [h for h in sorted(cluster.mpds)
                if h.startswith(ctx.meta["victim_prefix"])
                and h != cluster.default_submitter][:ctx.meta["kill_count"]]
@@ -168,6 +171,24 @@ def overbooking_cell(ctx: CellContext) -> dict:
     }
 
 
+def overbooking_spec(
+    factors: Iterable[float] = (1.0, 1.1, 1.2, 1.5),
+    n: int = 120,
+    kill_count: int = 12,
+    seed: int = 3,
+    cluster_spec: Optional[ClusterSpec] = None,
+    victim_prefix: str = "grelon",
+) -> ExperimentSpec:
+    """One cell per factor, killing ``kill_count`` ``victim_prefix*``s."""
+    return make_spec(
+        "ablation-overbooking", {"factor": tuple(factors)},
+        overbooking_cell, cluster=cluster_spec or ClusterSpec(),
+        master_seed=seed, fixed_seed=True,
+        meta={"n": n, "kill_count": kill_count,
+              "victim_prefix": victim_prefix},
+        cell_cluster=overbooking_cluster)
+
+
 def overbooking_ablation(
     factors: Iterable[float] = (1.0, 1.1, 1.2, 1.5),
     n: int = 120,
@@ -180,11 +201,8 @@ def overbooking_ablation(
     Hosts are killed *after boot, before submission*, so their silent
     RESERVE timeouts are what the overbooking margin must absorb.
     """
-    spec = make_spec(
-        "ablation-overbooking", {"factor": tuple(factors)},
-        overbooking_cell, master_seed=seed, fixed_seed=True,
-        meta={"n": n, "kill_count": kill_count, "victim_prefix": "grelon"})
-    sweep = run_sweep(spec, jobs=jobs)
+    sweep = run_sweep(overbooking_spec(factors, n, kill_count, seed),
+                      jobs=jobs)
     return [
         OverbookPoint(
             overbook_factor=cell.params["factor"],

@@ -38,7 +38,7 @@ from repro.apps.base import AppEnv, Application
 from repro.apps.ep import EPBenchmark
 from repro.apps.is_bench import ISBenchmark
 from repro.cluster import DEFAULT_COST_PARAMS, ClusterSpec
-from repro.experiments.commaware import LATENCY_RATIOS
+from repro.experiments.commaware import LATENCY_RATIOS, ratio_cluster
 from repro.experiments.engine import (CellContext, ExperimentSpec,
                                       ResultStore, SweepResult,
                                       demand_cost_key, make_spec, run_sweep)
@@ -85,18 +85,15 @@ def _comm_seconds(cluster, plan, app: Application) -> float:
 
 
 def applatency_cell(ctx: CellContext) -> Dict:
-    """One (ratio, strategy, n) execution of the cell's application.
-
-    Builds its own reshaped testbed from the ratio axis (the
-    ``with_params`` pattern the commaware latratio sweep uses) and
-    records wall-clock plus the plan's contention fingerprint.
-    """
+    """One (ratio, strategy, n) execution of the cell's application,
+    on the testbed reshaped to the cell's ratio
+    (:func:`~repro.experiments.commaware.ratio_cluster`): wall-clock
+    plus the plan's contention fingerprint."""
     ratio = float(ctx.params["ratio"])
     strategy = ctx.params["strategy"]
     n = int(ctx.params["n"])
     app: Application = ctx.meta["app"]
-    cluster = ctx.cluster_spec.with_params(latency_ratio=ratio).build(
-        seed=ctx.seed)
+    cluster = ctx.cluster
     result = cluster.submit_and_run(
         JobRequest(n=n, strategy=strategy, app=app,
                    tag=f"applatency-{app.name}-{ratio:g}")
@@ -139,6 +136,7 @@ def applatency_spec(
         master_seed=seed,
         meta={"app": app},
         cost_key=demand_cost_key,
+        cell_cluster=ratio_cluster,
     )
 
 

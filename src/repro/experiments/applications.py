@@ -13,7 +13,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from repro.apps.base import Application
 from repro.apps.ep import EPBenchmark
 from repro.apps.is_bench import ISBenchmark
-from repro.cluster import ClusterSpec, P2PMPICluster
+from repro.cluster import ClusterSpec
 from repro.experiments.engine import (CellContext, ExperimentSpec,
                                       ResultStore, SweepResult,
                                       demand_cost_key, make_spec, run_sweep)
@@ -141,7 +141,6 @@ def run_application_experiment(
     process_counts: Optional[Iterable[int]] = None,
     strategies: Sequence[str] = ("concentrate", "spread"),
     seed: int = 0,
-    cluster: Optional[P2PMPICluster] = None,
     jobs: int = 1,
     store: Optional[ResultStore] = None,
     force: bool = False,
@@ -149,14 +148,13 @@ def run_application_experiment(
     """Run one application's Figure-4 sweep; series per strategy.
 
     Defaults reproduce the EP panel; pass ``ISBenchmark()`` and
-    ``IS_PROCESS_COUNTS`` for the right panel.  An explicit ``cluster``
-    replays the legacy shared-overlay behaviour; without one the cells
-    run independently (parallelisable, cacheable).
+    ``IS_PROCESS_COUNTS`` for the right panel.  Every cell boots its
+    own testbed, so the cells run independently (parallelisable,
+    cacheable).
     """
     spec = application_spec(app=app, process_counts=process_counts,
                             strategies=strategies, seed=seed)
-    sweep = run_sweep(spec, jobs=jobs, store=store, force=force,
-                      cluster=cluster)
+    sweep = run_sweep(spec, jobs=jobs, store=store, force=force)
     return app_series_from_sweep(sweep)
 
 

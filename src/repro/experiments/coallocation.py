@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.cluster import ClusterSpec, P2PMPICluster
+from repro.cluster import ClusterSpec
 from repro.experiments.engine import (CellContext, ExperimentSpec,
                                       ResultStore, SweepResult,
                                       demand_cost_key, make_spec, run_sweep)
@@ -80,23 +80,6 @@ class CoallocationSeries:
                 best = max(best, pt.n)
         return best
 
-    def first_demand_using(self, site: str) -> Optional[int]:
-        for pt in self.points:
-            if pt.hosts(site) > 0:
-                return pt.n
-        return None
-
-    def first_demand_using_all_sites(self, sites: Sequence[str]) -> Optional[int]:
-        for pt in self.points:
-            if all(pt.hosts(s) > 0 for s in sites):
-                return pt.n
-        return None
-
-    def max_processes_per_host(self, n: int) -> float:
-        pt = self.point(n)
-        hosts = sum(pt.hosts_by_site.values())
-        return pt.total_cores / hosts if hosts else 0.0
-
 
 def coallocation_cell(ctx: CellContext) -> Dict:
     """Engine cell: one (strategy, n) submission through the stack."""
@@ -161,24 +144,19 @@ def run_coallocation_experiment(
     seed: int = 0,
     demands: Iterable[int] = PAPER_DEMANDS,
     strategies: Sequence[str] = ("concentrate", "spread"),
-    cluster: Optional[P2PMPICluster] = None,
     jobs: int = 1,
     store: Optional[ResultStore] = None,
     force: bool = False,
 ) -> Dict[str, CoallocationSeries]:
     """Run the §5.1 sweep; returns one series per strategy.
 
-    With an explicit ``cluster`` the cells run serially against it in
-    grid order — consecutive ``p2pmpirun`` invocations sharing one
-    booted overlay, exactly as on the real testbed (and exactly the
-    pre-engine behaviour, bit for bit).  Without one, every cell
-    builds a private cluster from a seed derived per cell, which makes
-    the sweep parallelisable (``jobs``) and cacheable (``store``).
+    Every cell boots a private testbed from a seed derived per cell,
+    as ``p2pmpirun run coallocation`` does, so the sweep is
+    parallelisable (``jobs``) and cacheable (``store``).
     """
     spec = coallocation_spec(seed=seed, demands=demands,
                              strategies=strategies)
-    sweep = run_sweep(spec, jobs=jobs, store=store, force=force,
-                      cluster=cluster)
+    sweep = run_sweep(spec, jobs=jobs, store=store, force=force)
     return series_from_sweep(sweep)
 
 

@@ -32,7 +32,7 @@ from repro.cluster import ClusterSpec
 from repro.experiments.applications import (app_series_from_sweep,
                                             application_spec)
 from repro.experiments.coallocation import PAPER_DEMANDS
-from repro.experiments.engine import (CellContext, ExperimentSpec,
+from repro.experiments.engine import (Cell, CellContext, ExperimentSpec,
                                       ResultStore, SweepResult,
                                       demand_cost_key, make_spec, run_sweep)
 from repro.experiments.report import (format_metric_comparison,
@@ -42,7 +42,8 @@ from repro.net.contention import ContentionModel
 
 __all__ = ["PAPER_STRATEGIES", "COMMAWARE_STRATEGIES", "ALL_STRATEGIES",
            "LATENCY_RATIOS", "LATRATIO_DEMAND", "CommawareCampaign",
-           "commaware_cell", "latratio_cell", "commaware_alloc_spec",
+           "commaware_cell", "latratio_cell", "ratio_cluster",
+           "commaware_alloc_spec",
            "commaware_app_spec", "latratio_spec", "run_commaware_campaign",
            "commaware_report"]
 
@@ -121,18 +122,18 @@ def commaware_cell(ctx: CellContext) -> Dict:
     return value
 
 
-def latratio_cell(ctx: CellContext) -> Dict:
-    """One (ratio, strategy) cell: builds its own reshaped testbed.
+def ratio_cluster(spec: ExperimentSpec, cell: Cell) -> ClusterSpec:
+    """``cell_cluster``: the testbed reshaped to the cell's ratio."""
+    return spec.cluster.with_params(
+        latency_ratio=float(cell.param_dict()["ratio"]))
 
-    The ratio lives on an axis, not in the sweep's cluster spec, so the
-    cell derives a per-cell spec via ``with_params`` — the same pattern
-    the overbooking ablation uses for per-cell middleware configs.
-    """
+
+def latratio_cell(ctx: CellContext) -> Dict:
+    """One (ratio, strategy) cell, on :func:`ratio_cluster`'s testbed."""
     ratio = float(ctx.params["ratio"])
     strategy = ctx.params["strategy"]
     n = int(ctx.meta["n"])
-    cluster = ctx.cluster_spec.with_params(latency_ratio=ratio).build(
-        seed=ctx.seed)
+    cluster = ctx.cluster
     result = cluster.submit_and_run(
         JobRequest(n=n, strategy=strategy, tag=f"latratio-{ratio:g}")
     )
@@ -194,6 +195,7 @@ def latratio_spec(
         cluster=ClusterSpec(kind="grid5000-latratio"),
         master_seed=seed,
         meta={"n": n},
+        cell_cluster=ratio_cluster,
     )
 
 

@@ -13,9 +13,8 @@ figure.  This module provides exactly three pieces (see DESIGN.md §6):
   a module-level *cell runner*, a picklable
   :class:`~repro.cluster.ClusterSpec`, and a master seed;
 * :class:`SweepRunner` — executes the cell grid serially, fanned out
-  over ``concurrent.futures.ProcessPoolExecutor`` workers, or inline
-  against a caller-supplied shared cluster (the legacy mode the paper
-  figures use);
+  over ``concurrent.futures.ProcessPoolExecutor`` workers, or in order
+  on one cluster the whole sweep shares (``shared_cluster``);
 * :class:`ResultStore` — a content-addressed pool of finished cells,
   each keyed on its runner, the package code a cell can run, its
   cluster, seed and parameters, plus one ordered JSONL view per spec
@@ -26,7 +25,7 @@ figure.  This module provides exactly three pieces (see DESIGN.md §6):
 Determinism
 -----------
 In per-cell mode every cell builds its own cluster from
-``spec.cluster.build(cell.seed)`` where ``cell.seed`` is derived as a
+``spec.cluster_for(cell).build(cell.seed)`` where ``cell.seed`` is a
 stable hash of ``(master_seed, cell_key)``.  Cells therefore share no
 state, which makes serial and parallel executions of the same spec
 *bit-identical* — the determinism test in
@@ -287,11 +286,11 @@ class Cell:
 class CellContext:
     """What a cell runner receives.
 
-    ``cluster`` is lazy: shared-cluster sweeps inject a live instance,
-    per-cell sweeps build a private one from ``cluster_spec`` and the
-    cell seed on first access.  Runners that build custom clusters
-    (e.g. the overbooking ablation varies the middleware config per
-    cell) use ``cluster_spec``/``seed`` directly and never touch it.
+    ``cluster`` is lazy: shared-cluster sweeps inject the sweep's one
+    live instance; per-cell sweeps build a private one on first access,
+    from :meth:`ExperimentSpec.cluster_for` and the cell seed.  A
+    runner never builds a cluster itself, and one that needs none
+    (the ranking ablations, the control-plane cells) pays for none.
     """
 
     spec: "ExperimentSpec"
@@ -311,13 +310,10 @@ class CellContext:
         return self.spec.meta
 
     @property
-    def cluster_spec(self) -> ClusterSpec:
-        return self.spec.cluster
-
-    @property
     def cluster(self) -> P2PMPICluster:
         if self._cluster is None:
-            self._cluster = self.spec.cluster.build(seed=self.cell.seed)
+            self._cluster = self.spec.cluster_for(self.cell).build(
+                seed=self.cell.seed)
         return self._cluster
 
 
@@ -349,8 +345,8 @@ class ExperimentSpec:
         Extra constants the runner reads (apps, sample counts...);
         hashed into the store key via :func:`_canon`.
     shared_cluster:
-        Cells mutate one shared cluster and must run serially in order
-        (the legacy figure mode).  Cached all-or-nothing, since
+        Cells mutate one cluster, built from ``cluster`` and the master
+        seed, and run serially in order.  Cached all-or-nothing, since
         skipping a cell would change the state later cells observe.
     fixed_seed:
         Every cell uses ``master_seed`` itself instead of a derived
@@ -363,6 +359,13 @@ class ExperimentSpec:
         changes cell seeds, grid order, or stored bytes — the
         canonical file is sorted by cell index at save time whatever
         the execution order was.
+    cell_cluster:
+        Optional hook ``(spec, cell) -> ClusterSpec``: the recipe of a
+        cell's cluster when it varies per cell; ``None`` means
+        ``cluster``.  Per-cell sweeps only.  Like ``cost_key`` it is not
+        hashed: it lives at module level in the package, whose code the
+        fingerprint covers, and its inputs (``cluster``, ``meta``, the
+        cell's params) are hashed.
     """
 
     name: str
@@ -374,6 +377,8 @@ class ExperimentSpec:
     shared_cluster: bool = False
     fixed_seed: bool = False
     cost_key: Optional[Callable[["Cell"], float]] = None
+    cell_cluster: Optional[Callable[["ExperimentSpec", "Cell"],
+                                    ClusterSpec]] = None
 
     # ------------------------------------------------------------------
     # grid
@@ -425,6 +430,12 @@ class ExperimentSpec:
         """
         index, count = validate_shard(shard)
         return [c for c in self.cells() if c.index % count == index - 1]
+
+    def cluster_for(self, cell: Cell) -> ClusterSpec:
+        """The recipe ``cell``'s own cluster is built from."""
+        if self.cell_cluster is None:
+            return self.cluster
+        return self.cell_cluster(self, cell)
 
     # ------------------------------------------------------------------
     # identity
@@ -872,11 +883,6 @@ class SweepRunner:
         rewrites the sweep's view.
     force:
         Invalidate the stored sweep and recompute everything.
-    cluster:
-        Explicit live cluster to run every cell against, in grid
-        order.  This is the legacy figure mode: the caller owns the
-        cluster, execution is serial, and nothing is cached (a live
-        simulator's state is not replayable from a store file).
     checkpoint_every:
         Flush completed cells to the store's ``.partial`` file every
         this many cells (per-cell sweeps with a store only), so a
@@ -901,12 +907,11 @@ class SweepRunner:
         the store's ``.partial`` checkpoint, the merge input
         :mod:`repro.experiments.aggregate` reassembles campaigns from.
         Incompatible with shared-cluster specs (a stateful sweep
-        cannot be partitioned) and with an explicit ``cluster``.
+        cannot be partitioned).
     """
 
     def __init__(self, spec: ExperimentSpec, *, jobs: int = 1,
                  store: Optional[ResultStore] = None, force: bool = False,
-                 cluster: Optional[P2PMPICluster] = None,
                  checkpoint_every: Optional[int] = None,
                  shard: Optional[Tuple[int, int]] = None,
                  progress: Optional[Callable[[CellResult], None]] = None,
@@ -918,19 +923,16 @@ class SweepRunner:
                 "REPRO_CHECKPOINT_EVERY", "8"))
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if cluster is not None and (store is not None or force):
+        if spec.shared_cluster and spec.cell_cluster is not None:
             raise ValueError(
-                "store/force cannot be combined with an explicit cluster: "
-                "a live simulator's state is not replayable from a store")
+                "cell_cluster cannot be combined with shared_cluster: a "
+                "shared-cluster sweep builds one cluster for every cell")
         if shard is not None:
             shard = validate_shard(shard)
             if spec.shared_cluster:
                 raise ValueError(
                     "shard cannot partition a shared-cluster sweep: later "
                     "cells observe the state earlier cells left behind")
-            if cluster is not None:
-                raise ValueError(
-                    "shard cannot be combined with an explicit cluster")
             if force:
                 # invalidate() unlinks the whole store — including the
                 # .partial file other shards of this spec accumulated
@@ -944,7 +946,6 @@ class SweepRunner:
         self.jobs = jobs
         self.store = store
         self.force = force
-        self.cluster = cluster
         self.checkpoint_every = checkpoint_every
         self.shard = shard
         self.progress = (progress if progress is not None
@@ -957,12 +958,6 @@ class SweepRunner:
     # ------------------------------------------------------------------
     def run(self) -> SweepResult:
         t0 = time.perf_counter()
-        if self.cluster is not None:
-            cells = self.spec.cells()
-            results = self._run_inline(cells, self.cluster)
-            return SweepResult(self.spec, results, executed=len(results),
-                               elapsed_s=time.perf_counter() - t0)
-
         cells = (self.spec.shard_cells(self.shard) if self.shard
                  else self.spec.cells())
         if self.store is not None:
@@ -1031,8 +1026,9 @@ class SweepRunner:
         if self.progress is not None:
             self.progress(result)
 
-    def _run_inline(self, cells: Sequence[Cell],
-                    cluster: P2PMPICluster) -> List[CellResult]:
+    def _run_shared(self, cells: Sequence[Cell]) -> List[CellResult]:
+        """Every cell in grid order, on one cluster built for the sweep."""
+        cluster = self.spec.cluster.build(seed=self.spec.master_seed)
         out = []
         for cell in cells:
             t0 = time.perf_counter()
@@ -1045,10 +1041,6 @@ class SweepRunner:
             out.append(result)
             self._landed(result)
         return out
-
-    def _run_shared(self, cells: Sequence[Cell]) -> List[CellResult]:
-        cluster = self.spec.cluster.build(seed=self.spec.master_seed)
-        return self._run_inline(cells, cluster)
 
     def _run_serial(self, todo: Sequence[Cell]) -> List[CellResult]:
         out: List[CellResult] = []
@@ -1101,7 +1093,6 @@ class SweepRunner:
 
 def run_sweep(spec: ExperimentSpec, *, jobs: int = 1,
               store: Optional[ResultStore] = None, force: bool = False,
-              cluster: Optional[P2PMPICluster] = None,
               checkpoint_every: Optional[int] = None,
               shard: Optional[Tuple[int, int]] = None,
               progress: Optional[Callable[[CellResult], None]] = None,
@@ -1109,5 +1100,5 @@ def run_sweep(spec: ExperimentSpec, *, jobs: int = 1,
     """One-call façade over :class:`SweepRunner`: how every driver and
     CLI entry runs a spec."""
     return SweepRunner(spec, jobs=jobs, store=store, force=force,
-                       cluster=cluster, checkpoint_every=checkpoint_every,
-                       shard=shard, progress=progress).run()
+                       checkpoint_every=checkpoint_every, shard=shard,
+                       progress=progress).run()

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional
 
-from repro.cluster import ClusterSpec, P2PMPICluster
+from repro.cluster import ClusterSpec
 from repro.experiments.engine import (CellContext, ExperimentSpec,
                                       ResultStore, SweepResult, make_spec,
                                       run_sweep)
@@ -107,15 +107,13 @@ def run_scaling_experiment(
     demands: Iterable[int] = (50, 100, 200, 400, 600),
     strategy: str = "spread",
     seed: int = 0,
-    cluster: Optional[P2PMPICluster] = None,
     jobs: int = 1,
     store: Optional[ResultStore] = None,
     force: bool = False,
 ) -> ScalingSeries:
     """Measure co-allocation latency over a demand sweep."""
     spec = scaling_spec(demands=demands, strategy=strategy, seed=seed)
-    sweep = run_sweep(spec, jobs=jobs, store=store, force=force,
-                      cluster=cluster)
+    sweep = run_sweep(spec, jobs=jobs, store=store, force=force)
     return scaling_series_from_sweep(sweep)
 
 

@@ -30,7 +30,7 @@ from repro.apps.is_bench import ISBenchmark
 from repro.cluster import ClusterSpec
 from repro.experiments.applatency import _comm_seconds
 from repro.experiments.commaware import ALL_STRATEGIES
-from repro.experiments.engine import (CellContext, ExperimentSpec,
+from repro.experiments.engine import (Cell, CellContext, ExperimentSpec,
                                       ResultStore, SweepResult, make_spec,
                                       run_sweep)
 from repro.experiments.report import format_metric_comparison
@@ -39,7 +39,8 @@ from repro.net.contention import ContentionModel
 from repro.net.families import GENERATED_FAMILIES
 
 __all__ = ["TOPOZOO_FAMILIES", "TOPOZOO_SITES", "TopozooCampaign",
-           "topozoo_cell", "topozoo_spec", "run_topozoo_campaign",
+           "topozoo_cell", "topozoo_spec", "sized_cluster",
+           "run_topozoo_campaign",
            "topozoo_winners", "topozoo_report"]
 
 #: Campaign roster: the paper testbed first (the ranking baseline the
@@ -63,22 +64,23 @@ def _campaign_n(topology) -> int:
     return max(4, topology.n_cores // 3)
 
 
+def sized_cluster(spec: ExperimentSpec, cell: Cell) -> ClusterSpec:
+    """``cell_cluster``: the family at the cell's ``sites``, built on
+    the campaign-constant ``topo_seed``."""
+    return spec.cluster.with_params(
+        sites=int(cell.param_dict()["sites"]),
+        topo_seed=int(spec.meta["topo_seed"]))
+
+
 def topozoo_cell(ctx: CellContext) -> Dict:
     """One (family[, sites], strategy) IS class B submission.
 
-    Generated families rebuild their cluster from the spec with the
-    cell's ``sites`` and the campaign-constant ``topo_seed`` (the
-    ``with_params`` pattern of the latratio sweep); the paper testbed
-    uses the engine-built cluster directly.
+    A generated family's cell runs on the graph :func:`sized_cluster`
+    declares; the paper testbed's on the panel's own cluster.
     """
     family = ctx.meta["family"]
     strategy = ctx.params["strategy"]
-    if "sites" in ctx.params:
-        cluster = ctx.cluster_spec.with_params(
-            sites=int(ctx.params["sites"]),
-            topo_seed=int(ctx.meta["topo_seed"])).build(seed=ctx.seed)
-    else:
-        cluster = ctx.cluster
+    cluster = ctx.cluster
     topology = cluster.topology
     n = _campaign_n(topology)
     app = ISBenchmark(str(ctx.meta["nas_class"]))
@@ -140,6 +142,7 @@ def topozoo_spec(
         cluster=ClusterSpec(kind=family),
         master_seed=seed,
         meta={"family": family, "topo_seed": seed, "nas_class": nas_class},
+        cell_cluster=sized_cluster if "sites" in axes else None,
     )
 
 

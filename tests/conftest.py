@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cluster import P2PMPICluster, build_grid5000_cluster
+from repro.cluster import P2PMPICluster
 from repro.net.topology import Cluster, Site, Topology
 from repro.sim.core import Simulator
 
@@ -64,9 +64,3 @@ def small_cluster(small_topology) -> P2PMPICluster:
         default_submitter="a1-1.alpha",
     )
     return cluster.boot()
-
-
-@pytest.fixture(scope="session")
-def grid5000_cluster() -> P2PMPICluster:
-    """One booted full-scale testbed shared by experiment tests."""
-    return build_grid5000_cluster(seed=42)

@@ -7,17 +7,15 @@ from repro.experiments.applications import run_application_experiment
 
 
 @pytest.fixture(scope="module")
-def ep(grid5000_cluster):
+def ep():
     return run_application_experiment(
-        EPBenchmark("B"), process_counts=(32, 128, 512),
-        cluster=grid5000_cluster)
+        EPBenchmark("B"), process_counts=(32, 128, 512))
 
 
 @pytest.fixture(scope="module")
-def is_(grid5000_cluster):
+def is_():
     return run_application_experiment(
-        ISBenchmark("B"), process_counts=(32, 64, 128),
-        cluster=grid5000_cluster)
+        ISBenchmark("B"), process_counts=(32, 64, 128))
 
 
 class TestEPShape:
@@ -78,13 +76,12 @@ class TestISShape:
 
 
 class TestDriver:
-    def test_unknown_status_raises(self, grid5000_cluster):
+    def test_unknown_status_raises(self):
         from repro.apps import EPBenchmark
 
         with pytest.raises(RuntimeError):
             run_application_experiment(
-                EPBenchmark("B"), process_counts=(2000,),  # infeasible
-                cluster=grid5000_cluster)
+                EPBenchmark("B"), process_counts=(2000,))  # infeasible
 
     def test_series_accessors(self, ep):
         series = ep["spread"]

@@ -24,7 +24,7 @@ from repro.cli import build_run_parser, main
 from repro.cluster import ClusterSpec
 from repro.experiments import registry
 from repro.experiments.ablations import (block_cell, noise_cell,
-                                         overbooking_cell, replication_cell,
+                                         overbooking_spec, replication_cell,
                                          smoothing_cell)
 from repro.experiments.aggregate import aggregate_report, scan_store_root
 from repro.experiments.applatency import applatency_spec
@@ -90,10 +90,9 @@ def tiny_specs():
         "ablation-smoothing": make_spec(
             "ablation-smoothing", {"samples": (2,), "ewma_alpha": (0.2,)},
             smoothing_cell, fixed_seed=True, meta={"noise_sigma_ms": 1.2}),
-        "ablation-overbooking": make_spec(
-            "ablation-overbooking", {"factor": (1.2,)}, overbooking_cell,
-            cluster=SMALL, fixed_seed=True,
-            meta={"n": 4, "kill_count": 1, "victim_prefix": "b"}),
+        "ablation-overbooking": overbooking_spec(
+            factors=(1.2,), n=4, kill_count=1, seed=0, cluster_spec=SMALL,
+            victim_prefix="b"),
         "ablation-replication": make_spec(
             "ablation-replication", {"r": (2,)}, replication_cell,
             cluster=SMALL, fixed_seed=True, shared_cluster=True,

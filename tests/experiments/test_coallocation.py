@@ -11,11 +11,10 @@ from repro.experiments.coallocation import run_coallocation_experiment
 
 
 @pytest.fixture(scope="module")
-def sweeps(grid5000_cluster):
+def sweeps():
     return run_coallocation_experiment(
         demands=(100, 200, 250, 300, 400, 600),
         strategies=("concentrate", "spread"),
-        cluster=grid5000_cluster,
     )
 
 

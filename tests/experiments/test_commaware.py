@@ -134,6 +134,18 @@ class TestLatencyRatioAxis:
         deep = result.value(ratio=1000.0, strategy="concentrate")
         assert deep["latency_diameter_ms"] < flat["latency_diameter_ms"]
 
+    def test_cell_lines_pinned(self):
+        """The latency-ratio cell lines, pinned like the alloc sweep's:
+        they change only with a deliberate seed or model change, which
+        must re-pin them and say so in CHANGES.md."""
+        spec = latratio_spec(seed=1, ratios=(1.0, 1000.0),
+                             strategies=("concentrate", "bandwidth_spread"),
+                             n=16)
+        cells = "".join(encode_store_line(c.record()) + "\n"
+                        for c in SweepRunner(spec).run().cells)
+        assert hashlib.sha256(cells.encode()).hexdigest() == (
+            "278a25623e76aeebeda3b014c1c4886ebd7b002c68859632108ca689fe3df607")
+
 
 class TestCaching:
     def test_second_run_cached(self, tmp_path):

@@ -406,7 +406,7 @@ class TestShard:
         result = SweepRunner(small_spec(), shard=(2, 2)).run()
         assert "[shard 2/2]" in result.summary()
 
-    def test_bad_shards_rejected(self, small_cluster):
+    def test_bad_shards_rejected(self):
         with pytest.raises(ValueError):
             SweepRunner(small_spec(), shard=(0, 3))
         with pytest.raises(ValueError):
@@ -415,8 +415,6 @@ class TestShard:
         shared.shared_cluster = True
         with pytest.raises(ValueError):
             SweepRunner(shared, shard=(1, 2))
-        with pytest.raises(ValueError):
-            SweepRunner(small_spec(), cluster=small_cluster, shard=(1, 2))
 
     def test_shard_with_force_rejected(self, tmp_path):
         # force invalidates the WHOLE store, including the .partial
@@ -451,9 +449,9 @@ class TestRunnerModes:
         assert [c.value["seed"] for c in result.cells] == \
             [derive_cell_seed(4, "a=1"), derive_cell_seed(4, "a=2")]
 
-    def test_inline_cluster_replays_grid_order(self, small_cluster):
+    def test_series_follow_grid_order(self):
         spec = small_spec()
-        result = SweepRunner(spec, cluster=small_cluster).run()
+        result = SweepRunner(spec).run()
         series = series_from_sweep(result)
         assert set(series) == {"spread", "concentrate"}
         assert series["spread"].demands == [4, 8]
@@ -485,14 +483,6 @@ class TestRunnerModes:
     def test_bad_jobs_rejected(self):
         with pytest.raises(ValueError):
             SweepRunner(small_spec(), jobs=0)
-
-    def test_inline_cluster_rejects_store_and_force(self, small_cluster,
-                                                    tmp_path):
-        with pytest.raises(ValueError):
-            SweepRunner(small_spec(), cluster=small_cluster,
-                        store=ResultStore(tmp_path))
-        with pytest.raises(ValueError):
-            SweepRunner(small_spec(), cluster=small_cluster, force=True)
 
     def test_hash_covers_runner_source(self):
         # The runner's source is covered per cell, by the code

@@ -6,9 +6,8 @@ from repro.experiments.scaling import run_scaling_experiment
 
 
 @pytest.fixture(scope="module")
-def series(grid5000_cluster):
-    return run_scaling_experiment(demands=(50, 200, 600),
-                                  cluster=grid5000_cluster)
+def series():
+    return run_scaling_experiment(demands=(50, 200, 600))
 
 
 class TestScaling:
@@ -31,7 +30,6 @@ class TestScaling:
         times = series.reservation_series()
         assert max(times) < 10 * min(times)
 
-    def test_failure_raises(self, grid5000_cluster):
+    def test_failure_raises(self):
         with pytest.raises(RuntimeError):
-            run_scaling_experiment(demands=(5000,),
-                                   cluster=grid5000_cluster)
+            run_scaling_experiment(demands=(5000,))
