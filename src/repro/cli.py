@@ -450,7 +450,15 @@ def _run_orchestrate(argv: List[str]) -> int:
 def _run_merge(argv: List[str]) -> int:
     from repro.experiments.aggregate import MergeConflictError, StoreMerger
 
-    args = build_merge_parser().parse_args(argv)
+    parser = build_merge_parser()
+    args = parser.parse_args(argv)
+    # A directory or a missing path is a usage mistake, not a
+    # determinism failure: keep it off the conflict path (exit 1).
+    not_files = [store for store in args.stores if not os.path.isfile(store)]
+    if not_files:
+        parser.error(f"not a store file: {', '.join(not_files)}; merge takes "
+                     "the files inside a store directory "
+                     "(<sweep>-<hash>.jsonl and/or <sweep>-<hash>.jsonl.partial)")
     try:
         merged = StoreMerger().merge(args.stores)
         # write() can conflict too: it absorbs same-sweep files already

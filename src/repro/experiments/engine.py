@@ -857,10 +857,19 @@ def _execute_cell(spec: ExperimentSpec, cell: Cell) -> CellResult:
     """Run one cell in the current process (also the pool entry point).
 
     The cell's time includes the collection that frees its cluster.
+    The cyclic collector is paused while the runner runs: the cell's
+    cluster stays alive until the runner returns, so a generational
+    pass inside the cell would only scan it and find nothing to free.
     """
     t0 = time.perf_counter()
-    # No local keeps the context, whose lazy cluster must die here too.
-    value = dict(spec.runner(CellContext(spec=spec, cell=cell)))
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        # No local keeps the context, whose lazy cluster must die here too.
+        value = dict(spec.runner(CellContext(spec=spec, cell=cell)))
+    finally:
+        if was_enabled:
+            gc.enable()
     gc.collect()
     return CellResult(index=cell.index, key=cell.key,
                       params=cell.param_dict(), seed=cell.seed, value=value,

@@ -38,6 +38,8 @@ class Receive(Event):
     """A receive on one port of an :class:`Inbox`; succeeds with the
     accepted message."""
 
+    __slots__ = ("inbox", "port", "kind", "match")
+
     def __init__(self, inbox: "Inbox", port: str, kind: Optional[str],
                  match: Optional[MatchFn]) -> None:
         super().__init__(inbox.sim, name=port)

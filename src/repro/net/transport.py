@@ -28,7 +28,7 @@ __all__ = ["Message", "Network"]
 DEFAULT_SW_OVERHEAD_S = 20e-6
 
 
-@dataclass
+@dataclass(slots=True)
 class Message:
     """A delivered network message.
 
@@ -216,18 +216,10 @@ class Network:
         never registered — like TCP connect timeouts to a dead peer,
         the *caller's* protocol timeout is the detection mechanism.
         """
-        src_host = self.topology.host(src)
-        dst_host = self.topology.host(dst)
-        msg = Message(
-            src=src,
-            dst=dst,
-            port=port,
-            kind=kind,
-            payload=payload,
-            size_bytes=size_bytes,
-            sent_at=self.sim.now,
-            msg_id=next(self._msg_ids),
-        )
+        hosts = self.topology.hosts
+        src_host, dst_host = hosts[src], hosts[dst]
+        msg = Message(src, dst, port, kind, payload, size_bytes,
+                      self.sim.now, 0.0, next(self._msg_ids))
         if self._down.get(src, False):
             # A dead host cannot send either.
             self.messages_dropped += 1
@@ -237,10 +229,12 @@ class Network:
             self.messages_dropped += 1
             return msg
 
-        delay = self.transfer_time_s(src_host, dst_host, size_bytes)
+        # transfer_time_s, with the flow's share taken from acquire():
+        # both divide the capacity by the flows including this one.
+        delay = self.latency.one_way_delay_s(src_host, dst_host) + self.sw_overhead_s
         uses_bw = size_bytes > 0 and src != dst
         if uses_bw:
-            self.bandwidth.acquire(src_host, dst_host)
+            delay += size_bytes * 8.0 / self.bandwidth.acquire(src_host, dst_host)
 
         def _deliver(_event) -> None:
             if uses_bw:

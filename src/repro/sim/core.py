@@ -110,31 +110,21 @@ class Simulator:
 
     def event(self, name: Optional[str] = None):
         """Return a fresh, untriggered :class:`~repro.sim.events.Event`."""
-        from repro.sim.events import Event
-
         return Event(self, name=name)
 
     def timeout(self, delay: float, value: Any = None):
         """Return an event that succeeds ``delay`` time units from now."""
-        from repro.sim.events import Timeout
-
         return Timeout(self, delay, value=value)
 
     def process(self, generator: Generator, delay: float = 0.0):
         """Start a new :class:`~repro.sim.process.Process` ``delay`` from
         now (immediately by default)."""
-        from repro.sim.process import Process
-
         return Process(self, generator, delay=delay)
 
     def any_of(self, events: Iterable):
-        from repro.sim.events import AnyOf
-
         return AnyOf(self, list(events))
 
     def all_of(self, events: Iterable):
-        from repro.sim.events import AllOf
-
         return AllOf(self, list(events))
 
     # ------------------------------------------------------------------
@@ -162,7 +152,7 @@ class Simulator:
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
             callback(event)
-        if not event._ok and not getattr(event, "defused", False):
+        if not event._ok and not event.defused:
             exc = event._value
             raise exc if isinstance(exc, BaseException) else SimulationError(repr(exc))
 
@@ -216,3 +206,10 @@ class Simulator:
     def stop(self) -> None:
         """Halt :meth:`run` after the current event finishes processing."""
         self._stopped = True
+
+
+# The event classes import this module, so they are bound here, after
+# ``Simulator`` exists.  ``repro.sim`` imports this module before any
+# other submodule, so these imports always find it complete.
+from repro.sim.events import AllOf, AnyOf, Event, Timeout  # noqa: E402
+from repro.sim.process import Process  # noqa: E402

@@ -11,6 +11,7 @@ the event's exception).
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, List, Optional, Set
 
 from repro.sim.core import NORMAL, SimulationError, Simulator
@@ -31,6 +32,10 @@ class Event:
     name:
         Optional label used in ``repr`` and traces.
     """
+
+    # Slotted all the way down: events are the kernel's most numerous
+    # objects, so every subclass declares its own ``__slots__`` too.
+    __slots__ = ("sim", "name", "callbacks", "_value", "_ok", "defused")
 
     def __init__(self, sim: Simulator, name: Optional[str] = None) -> None:
         self.sim = sim
@@ -69,9 +74,13 @@ class Event:
         """Schedule this event to succeed with ``value``."""
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} already triggered")
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay!r}")
         self._ok = True
         self._value = value
-        self.sim.schedule(self, delay=delay, priority=priority)
+        # Simulator.schedule, inlined: this is the kernel's hottest call.
+        sim = self.sim
+        heappush(sim._queue, (sim._now + delay, priority, next(sim._seq), self))
         return self
 
     def fail(self, exception: BaseException, delay: float = 0.0,
@@ -81,9 +90,11 @@ class Event:
             raise SimulationError(f"{self!r} already triggered")
         if not isinstance(exception, BaseException):
             raise TypeError(f"fail() needs an exception, got {exception!r}")
+        # Scheduled first, so a negative delay raises before any state
+        # changes, as in succeed().
+        self.sim.schedule(self, delay=delay, priority=priority)
         self._ok = False
         self._value = exception
-        self.sim.schedule(self, delay=delay, priority=priority)
         return self
 
     def trigger(self, other: "Event") -> "Event":
@@ -128,11 +139,21 @@ class Event:
 class Timeout(Event):
     """Event that succeeds ``delay`` time units after creation."""
 
+    __slots__ = ("delay",)
+
     def __init__(self, sim: Simulator, delay: float, value: Any = None,
                  name: Optional[str] = None) -> None:
-        super().__init__(sim, name=name)
+        # Event.__init__ plus succeed(), inlined: one Timeout per sleep.
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay!r}")
+        self.sim = sim
+        self.name = name
+        self.callbacks = []
+        self._value = value
+        self._ok = True
+        self.defused = False
         self.delay = delay
-        self.succeed(value=value, delay=delay)
+        heappush(sim._queue, (sim._now + delay, NORMAL, next(sim._seq), self))
 
 
 class Condition(Event):
@@ -142,6 +163,8 @@ class Condition(Event):
     soon as any child fails.  The success value is a dict mapping each
     *triggered* child event to its value, in child order.
     """
+
+    __slots__ = ("_evaluate", "_events", "_done", "_completed")
 
     def __init__(self, sim: Simulator, evaluate, events: List[Event],
                  name: Optional[str] = None) -> None:
@@ -184,12 +207,16 @@ class Condition(Event):
 class AnyOf(Condition):
     """Succeeds when at least one child event has succeeded."""
 
+    __slots__ = ()
+
     def __init__(self, sim: Simulator, events: List[Event]) -> None:
         super().__init__(sim, lambda evs, n: n >= 1, events, name="AnyOf")
 
 
 class AllOf(Condition):
     """Succeeds when every child event has succeeded."""
+
+    __slots__ = ()
 
     def __init__(self, sim: Simulator, events: List[Event]) -> None:
         super().__init__(sim, lambda evs, n: n == len(evs), events, name="AllOf")

@@ -12,10 +12,11 @@ return value — so processes can wait on each other, be combined with
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import Any, Generator, Optional
 
 from repro.sim.core import URGENT, SimulationError, Simulator
-from repro.sim.events import Event
+from repro.sim.events import PENDING, Event
 
 __all__ = ["Process", "Interrupt"]
 
@@ -55,11 +56,22 @@ class Process(Event):
         same instant.
     """
 
+    __slots__ = ("_generator", "_target")
+
     def __init__(self, sim: Simulator, generator: Generator,
                  name: Optional[str] = None, delay: float = 0.0) -> None:
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
             raise SimulationError(f"process body must be a generator, got {generator!r}")
-        super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay!r}")
+        # Event.__init__ and Simulator.schedule, inlined: a grid5000
+        # boot starts five processes per host.
+        self.sim = sim
+        self.name = name or getattr(generator, "__name__", "process")
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self.defused = False
         self._generator = generator
         self._target: Optional[Event] = None
         # Bootstrap: resume once with a successful initial event.
@@ -67,7 +79,7 @@ class Process(Event):
         boot.callbacks.append(self._resume)
         boot._ok = True
         boot._value = None
-        sim.schedule(boot, delay=delay, priority=URGENT)
+        heappush(sim._queue, (sim._now + delay, URGENT, next(sim._seq), boot))
 
     # -- state -----------------------------------------------------------
     @property
@@ -139,8 +151,12 @@ class Process(Event):
             self.fail(SimulationError(
                 f"process {self.name!r} yielded non-event {target!r}"))
             return
-        # An already-processed target replays through add_callback.
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is not None:
+            callbacks.append(self._resume)
+        else:
+            # An already-processed target replays through add_callback.
+            target.add_callback(self._resume)
         self._target = target
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

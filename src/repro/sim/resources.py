@@ -27,6 +27,8 @@ __all__ = ["Store", "FilterStore", "PriorityStore", "Resource"]
 class StorePut(Event):
     """Event returned by :meth:`Store.put`."""
 
+    __slots__ = ("item",)
+
     def __init__(self, store: "Store", item: Any) -> None:
         super().__init__(store.sim, name=f"put:{store.name}")
         self.item = item
@@ -35,6 +37,8 @@ class StorePut(Event):
 
 class StoreGet(Event):
     """Event returned by :meth:`Store.get`."""
+
+    __slots__ = ("predicate",)
 
     def __init__(self, store: "Store", predicate: Optional[Callable] = None) -> None:
         super().__init__(store.sim, name=f"get:{store.name}")
@@ -199,6 +203,8 @@ class PriorityStore(Store):
 
 class ResourceRequest(Event):
     """Event returned by :meth:`Resource.request`."""
+
+    __slots__ = ("resource",)
 
     def __init__(self, resource: "Resource") -> None:
         super().__init__(resource.sim, name=f"req:{resource.name}")

@@ -11,7 +11,7 @@ import weakref
 
 import pytest
 
-from repro.cluster import ClusterSpec
+from repro.cluster import ClusterSpec, P2PMPICluster
 from repro.experiments.coallocation import (
     coallocation_cell,
     coallocation_spec,
@@ -22,6 +22,7 @@ from repro.experiments.engine import (
     CellContext,
     ResultStore,
     SweepRunner,
+    _execute_cell,
     code_fingerprint,
     derive_cell_seed,
     fingerprint_sources,
@@ -70,6 +71,20 @@ def cyclic_cell(ctx: CellContext) -> dict:
     node.self = node
     _CYCLES.extend([weakref.ref(node), weakref.ref(ctx.cluster)])
     return {"previous_alive": any(obj is not None for obj in previous)}
+
+
+def gc_state_cell(ctx: CellContext) -> dict:
+    """Reports whether the cyclic collector runs inside the cell."""
+    return {"gc_enabled": gc.isenabled()}
+
+
+def raising_cell(ctx: CellContext) -> dict:
+    assert not gc.isenabled()
+    raise RuntimeError("cell failed")
+
+
+def live_clusters() -> int:
+    return sum(isinstance(obj, P2PMPICluster) for obj in gc.get_objects())
 
 
 class TestSpecGrid:
@@ -536,6 +551,44 @@ class TestRunnerModes:
         assert [c.value for c in result.cells] == \
             [{"inner_cells": 2, "still_frozen": True}] * 2
         assert gc.get_freeze_count() == 0
+
+    def test_collector_is_paused_inside_a_cell(self):
+        spec = make_spec("t", {"a": (1,)}, gc_state_cell)
+        result = _execute_cell(spec, next(iter(spec.cells())))
+        assert result.value == {"gc_enabled": False}
+        assert gc.isenabled()
+
+    def test_collector_is_restored_after_a_raising_cell(self):
+        spec = make_spec("t", {"a": (1,)}, raising_cell)
+        with pytest.raises(RuntimeError, match="cell failed"):
+            _execute_cell(spec, next(iter(spec.cells())))
+        assert gc.isenabled()
+
+    def test_collector_left_off_when_the_caller_turned_it_off(self):
+        spec = make_spec("t", {"a": (1,)}, gc_state_cell)
+        gc.disable()
+        try:
+            _execute_cell(spec, next(iter(spec.cells())))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("caller_gc", [True, False])
+    def test_serial_sweep_leaves_no_cluster_alive(self, caller_gc):
+        """Per-cell reclaim (DESIGN.md §16) with the collector paused
+        inside each cell: the collection at the cell's end frees it,
+        also when the caller keeps the automatic collector off."""
+        gc.collect()
+        before = live_clusters()
+        spec = small_spec(demands=(4, 8, 12), strategies=("spread",))
+        if not caller_gc:
+            gc.disable()
+        try:
+            result = SweepRunner(spec).run()
+            assert len(result.cells) == 3
+            assert live_clusters() == before
+        finally:
+            gc.enable()
 
     def test_summary_mentions_counts(self, tmp_path):
         spec = small_spec()

@@ -228,6 +228,32 @@ class TestShardedCampaign:
         assert code == 1
         assert "merge conflict" in err and "divergent" in err
 
+    def test_merge_of_a_directory_is_a_usage_error(self, tmp_path, capsys):
+        """A store directory (or a missing path) given where store files
+        belong exits 2 with argparse's usage error before any merge,
+        never as a conflict."""
+        ref = tmp_path / "ref"
+        assert main(["run", "coallocation", "--cluster", "small",
+                     "--demands", "4,8", "--out", str(ref)]) == 0
+        canonical = next(ref.glob("coallocation-*.jsonl"))
+        capsys.readouterr()
+        merged = tmp_path / "merged"
+        missing = tmp_path / "missing.jsonl"
+        for stores, bad in (([ref], ref), ([canonical, ref], ref),
+                            ([missing, canonical], missing)):
+            with pytest.raises(SystemExit) as exit_info:
+                main(["merge"] + [str(s) for s in stores]
+                     + ["--out", str(merged)])
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert "usage: p2pmpirun merge" in err
+            assert f"not a store file: {bad};" in err
+            assert ".jsonl.partial" in err
+            assert "merge conflict" not in err
+        assert not merged.exists()
+        # The files inside it merge as before.
+        assert main(["merge", str(canonical), "--out", str(merged)]) == 0
+
     def test_merge_incomplete_without_flag_writes_partial(self, tmp_path,
                                                           capsys):
         out = tmp_path / "shard1"
